@@ -17,7 +17,7 @@ import sys
 
 from .copulas import comonotone_coupling
 from .distributions import Empirical
-from .grids import DEFAULT_QUAD_TOL, adaptive_quadrature, uniform_grid
+from .grids import GridSpec, adaptive_quadrature, uniform_grid
 from .io import ParseError, load_copula, load_distribution
 from .oracle import DiscreteMeasureND, power_cost, solve_ot
 from .verify import SUITES, run_suites
@@ -59,15 +59,32 @@ def _emit_report(report: DistanceReport, fmt: str) -> None:
             print(f"W_{{{report.p:g},{report.q:g}}}^{report.p:g} in [{lo:.12g}, {hi:.12g}]")
 
 
-def _grid_from_args(args) -> object:
-    tol = float(os.environ.get("WASSERCOP_GRID_TOL", DEFAULT_QUAD_TOL))
-    if getattr(args, "grid_n", None):
+def _grid_size(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"grid size must be >= 2, got {n}")
+    return n
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not tol > 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be > 0, got {text!r}")
+    return tol
+
+
+def _grid_from_args(args) -> GridSpec | None:
+    if args.grid_n is not None:
         return uniform_grid(args.grid_n)
-    if getattr(args, "grid_tol", None):
+    if args.grid_tol is not None:
         return adaptive_quadrature(args.grid_tol)
-    if "WASSERCOP_GRID_TOL" in os.environ:
-        return adaptive_quadrature(tol)
-    return None
+    env = os.environ.get("WASSERCOP_GRID_TOL")
+    if env is None:
+        return None
+    try:
+        return adaptive_quadrature(_tolerance(env))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"WASSERCOP_GRID_TOL: {exc}") from exc
 
 
 def _load_margins(paths: list[str]):
@@ -127,9 +144,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    shift = 1e-3 if args.corrupt == "formula" else 0.0
-    names = args.suite or None
-    results = run_suites(names, seed=args.seed, formula_shift=shift)
+    results = run_suites(args.suite, seed=args.seed, corrupt=args.corrupt == "formula")
     all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -144,7 +159,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     F = load_distribution(args.inputs[0])
     G = load_distribution(args.inputs[1])
-    grid = uniform_grid(args.grid_n) if args.grid_n else None
+    grid = uniform_grid(args.grid_n) if args.grid_n is not None else None
     if grid is None and not (isinstance(F, Empirical) and isinstance(G, Empirical)):
         grid = uniform_grid(1000)
     pair = comonotone_coupling(F, G, grid)
@@ -187,8 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, with_p=True):
         sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        sp.add_argument("--grid-n", type=int, default=None, help="midpoint grid size")
-        sp.add_argument("--grid-tol", type=float, default=None, help="quadrature tolerance")
+        sp.add_argument("--grid-n", type=_grid_size, default=None, help="midpoint grid size")
+        sp.add_argument("--grid-tol", type=_tolerance, default=None, help="quadrature tolerance")
         if with_p:
             sp.add_argument("--p", type=float, required=True, help="order p >= 1")
 
@@ -224,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="write the comonotone coupling atoms")
     sp.add_argument("inputs", nargs=2, help="two distribution files")
-    sp.add_argument("--grid-n", type=int, default=None)
+    sp.add_argument("--grid-n", type=_grid_size, default=None)
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_sample)
 

@@ -206,6 +206,23 @@ def sklar_joint_cdf(j: JointSpec, x: Sequence[float]) -> float:
     return eval_copula(j.copula, tuple(m.cdf(xi) for m, xi in zip(j.margins, x)))
 
 
+def resolve_grid(
+    F: Distribution1D, G: Distribution1D, grid: GridSpec | None
+) -> GridSpec:
+    """The grid for integrating over the comonotone coupling of F and G.
+
+    By default two atomic laws use their exact merged breakpoints and any
+    other pair adaptive quadrature; an explicit exact grid needs two atomic
+    laws.
+    """
+    atomic = isinstance(F, Empirical) and isinstance(G, Empirical)
+    if grid is None:
+        return exact_breakpoints() if atomic else adaptive_quadrature()
+    if grid.kind == "exact" and not atomic:
+        raise ValueError("exact breakpoints require two empirical laws")
+    return grid
+
+
 @dataclass(frozen=True)
 class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
@@ -219,9 +236,6 @@ class ComonotonePair:
     atoms: tuple[tuple[float, float, object], ...]
     exact: bool
 
-    def masses_float(self) -> tuple[float, ...]:
-        return tuple(float(m) for _, _, m in self.atoms)
-
 
 def comonotone_coupling(
     F: Distribution1D, G: Distribution1D, grid: GridSpec | None = None
@@ -233,15 +247,8 @@ def comonotone_coupling(
     atoms), which realizes the coupling exactly with at most
     n_F + n_G - 1 atoms. Otherwise a grid on (0, 1) is used.
     """
-    if grid is None:
-        grid = (
-            exact_breakpoints()
-            if isinstance(F, Empirical) and isinstance(G, Empirical)
-            else adaptive_quadrature()
-        )
+    grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
-        if not (isinstance(F, Empirical) and isinstance(G, Empirical)):
-            raise ValueError("exact breakpoints require two empirical laws")
         cf, cg = F.cumulative(), G.cumulative()
         xf, xg = F.locations, G.locations
         i = j = 0
@@ -279,9 +286,7 @@ def expect_comonotone(
     of g(F^{-1}(u), G^{-1}(u)) over (0, 1). Returns (value, error_estimate);
     the value is an exact weighted sum when both laws are atomic.
     """
-    exact_ok = isinstance(F, Empirical) and isinstance(G, Empirical)
-    if grid is None:
-        grid = exact_breakpoints() if exact_ok else adaptive_quadrature()
+    grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
         pair = comonotone_coupling(F, G, grid)
         terms = []

@@ -18,8 +18,6 @@ from scipy import integrate
 
 from .grids import U_CLAMP
 
-WEIGHT_SUM_TOL = 1e-12
-
 
 def _require_finite(x: float, what: str) -> float:
     x = float(x)
@@ -33,14 +31,6 @@ def _check_u(u: float) -> float:
     if math.isnan(u) or u < 0.0 or u > 1.0:
         raise ValueError(f"probability level must lie in [0, 1], got {u!r}")
     return u
-
-
-def _as_fraction(w) -> Fraction:
-    # Decimal strings and Fractions stay exact; floats convert to their
-    # exact binary rational.
-    if isinstance(w, str):
-        return Fraction(w)
-    return Fraction(w)
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,9 @@ class Empirical(Distribution1D):
         merged: dict[float, Fraction] = {}
         for loc, w in atoms:
             loc = _require_finite(loc, "atom location")
-            wf = _as_fraction(w)
+            # decimal strings and Fractions stay exact; floats convert to
+            # their exact binary rational
+            wf = Fraction(w)
             if wf <= 0:
                 raise ValueError(f"atom weight must be positive, got {w!r}")
             merged[loc] = merged.get(loc, Fraction(0)) + wf
@@ -137,19 +129,13 @@ class Empirical(Distribution1D):
         return float(self._cum[k - 1]) if k else 0.0
 
     def quantile(self, u: float) -> float:
-        if isinstance(u, Fraction):
-            if u < 0 or u > 1:
-                raise ValueError(f"probability level must lie in [0, 1], got {u!r}")
-        else:
-            u = _check_u(u)
+        u = _check_u(u)
         if u == 0.0:
             return self._locs[0]
-        # first index with cumulative weight >= u. Exact Fraction levels keep
-        # the staircase tolerance-free; a float u is matched against the
+        # first index with cumulative weight >= u. u is matched against the
         # float-rounded levels that cdf() reports, so quantile(cdf(x)) <= x
         # even when rounding a level up to the nearest float.
-        levels = self._cum if isinstance(u, Fraction) else self._cum_float
-        k = bisect_left(levels, u)
+        k = bisect_left(self._cum_float, u)
         if k == len(self._locs):
             k -= 1
         return self._locs[k]
@@ -292,15 +278,3 @@ def empirical_from_samples(xs: Sequence[float], ws: Sequence[object] | None = No
     if len(ws) != len(xs):
         raise ValueError("weights must match samples in length")
     return Empirical(zip(xs, ws))
-
-
-def cdf(d: Distribution1D, x: float) -> float:
-    return d.cdf(x)
-
-
-def quantile(d: Distribution1D, u: float) -> float:
-    return d.quantile(u)
-
-
-def moment(d: Distribution1D, p: float) -> MomentCertificate:
-    return d.moment(p)

@@ -39,20 +39,6 @@ def distribution_from_json(obj: dict) -> Distribution1D:
     raise ParseError(f"unknown distribution kind {obj.get('kind')!r}")
 
 
-def distribution_to_json(d: Distribution1D) -> dict:
-    if isinstance(d, Empirical):
-        return {"kind": "empirical", "atoms": [[x, w] for x, w in d.atoms]}
-    if isinstance(d, PointMass):
-        return {"kind": "point_mass", "location": d.location}
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "a": d.a, "b": d.b}
-    if isinstance(d, Normal):
-        return {"kind": "normal", "mean": d.mean, "stddev": d.stddev}
-    if isinstance(d, Exponential):
-        return {"kind": "exponential", "rate": d.rate}
-    raise ParseError(f"cannot serialize {type(d).__name__}")
-
-
 def _samples_from_csv(path: Path) -> Empirical:
     atoms = []
     with path.open(newline="") as fh:

@@ -56,7 +56,7 @@ class DiscreteMeasureND:
                 dim = len(loc)
             elif len(loc) != dim:
                 raise ValueError("all atoms must share a dimension")
-            m = Fraction(mass) if not isinstance(mass, str) else Fraction(mass)
+            m = Fraction(mass)
             if m <= 0:
                 raise ValueError("atom masses must be positive")
             merged[loc] = merged.get(loc, Fraction(0)) + m
@@ -352,6 +352,10 @@ def verify_comonotone_optimal(
     )
 
 
+def _margins(mu: DiscreteMeasureND) -> list[Empirical]:
+    return [mu.margin(i) for i in range(mu.dim)]
+
+
 def _shared_discrete_pair(
     C: EmpiricalCopula,
     marginsF: Sequence[Distribution1D],
@@ -375,15 +379,7 @@ def verify_shared_copula_decomposition(
     """
     mu, nu = _shared_discrete_pair(C, marginsF, marginsG)
     lp, _ = solve_ot(mu, nu, power_cost(p))
-    marginals_mu = [
-        Empirical(((m.quantile(u), Fraction(1, C.n)) for u in col))
-        for m, col in zip(marginsF, zip(*C.rows))
-    ]
-    marginals_nu = [
-        Empirical(((m.quantile(u), Fraction(1, C.n)) for u in col))
-        for m, col in zip(marginsG, zip(*C.rows))
-    ]
-    formula = wp_shared_nd(C, marginals_mu, marginals_nu, p).power_value + formula_shift
+    formula = wp_shared_nd(C, _margins(mu), _margins(nu), p).power_value + formula_shift
     gap = abs(lp - formula)
     return VerifyReport(
         name="shared_copula_decomposition",
@@ -395,15 +391,14 @@ def verify_shared_copula_decomposition(
 
 
 def verify_projection_bound(
-    mu: DiscreteMeasureND, nu: DiscreteMeasureND, p: float
+    mu: DiscreteMeasureND, nu: DiscreteMeasureND, p: float, formula_shift: float = 0.0
 ) -> VerifyReport:
-    """LP value >= sum of coordinatewise one-dimensional powers, any margins."""
+    """LP value >= sum of coordinatewise one-dimensional powers, any margins.
+
+    formula_shift perturbs the formula side, as in verify_comonotone_optimal.
+    """
     lp, _ = solve_ot(mu, nu, power_cost(p))
-    lower = wp_lower_bound_nd(
-        [mu.margin(i) for i in range(mu.dim)],
-        [nu.margin(i) for i in range(nu.dim)],
-        p,
-    )
+    lower = wp_lower_bound_nd(_margins(mu), _margins(nu), p) + formula_shift
     gap = lower - lp
     return VerifyReport(
         name="projection_bound",
@@ -420,14 +415,20 @@ def verify_wpq_sandwich(
     marginsG: Sequence[Distribution1D],
     p: float,
     q: float,
+    swap_constant: bool = False,
 ) -> VerifyReport:
-    """Exact W_{p,q}^p on the shared-copula discretization lies in the sandwich."""
+    """Exact W_{p,q}^p on the shared-copula discretization lies in the sandwich.
+
+    swap_constant builds the sandwich with d^{q/p-1} in place of d^{p/q-1};
+    it exists to prove the harness can fail.
+    """
     mu, nu = _shared_discrete_pair(C, marginsF, marginsG)
     lp, _ = solve_ot(mu, nu, norm_cost(p, q))
-    marginals_mu = [mu.margin(i) for i in range(mu.dim)]
-    marginals_nu = [nu.margin(i) for i in range(nu.dim)]
-    report = wpq_bounds(C, marginals_mu, marginals_nu, p, q)
+    report = wpq_bounds(C, _margins(mu), _margins(nu), p, q)
     lo, hi = report.bounds
+    if swap_constant:
+        s, wrong = report.power_value, mu.dim ** (q / p - 1.0)
+        lo, hi = (s, wrong * s) if q < p else (wrong * s, s)
     inside = lo - 1e-10 <= lp <= hi + 1e-10
     gap = max(lo - lp, lp - hi)
     return VerifyReport(

@@ -1,5 +1,10 @@
 """Verification suites: every theorem-level identity checked against the
-exact discrete optimal-transport oracle on seeded random instances."""
+exact discrete optimal-transport oracle on seeded random instances.
+
+These suites are the one definition of the acceptance criteria. Each takes
+corrupt=True to plant a mistake on its formula side, which proves the suite
+can fail.
+"""
 from __future__ import annotations
 
 import math
@@ -8,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .copulas import frechet_hoeffding_check
-from .distributions import Empirical, Uniform
+from .copulas import eval_copula, frechet_hoeffding_check
+from .distributions import Uniform
 from .instances import (
     necessity_instance,
     random_discrete_nd,
@@ -30,6 +35,11 @@ from .oracle import (
 )
 from .wasserstein import w1_cdf, wp_quantile, wp_via_M
 
+# Added to the formula side of a check by corrupt=True; far above every
+# tolerance below except the Frechet-Hoeffding and sandwich slacks, so those
+# two suites plant other mistakes.
+CORRUPT_SHIFT = 1e-3
+
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -40,8 +50,12 @@ class SuiteResult:
     detail: str = ""
 
 
+def _shift(corrupt: bool) -> float:
+    return CORRUPT_SHIFT if corrupt else 0.0
+
+
 def suite_comonotone_optimality(
-    seed: int, pairs: int = 200, formula_shift: float = 0.0
+    seed: int, pairs: int = 200, corrupt: bool = False
 ) -> SuiteResult:
     """Quantile-integral power equals the LP minimum, p in {1, 2, 3}."""
     rng = random.Random(seed)
@@ -51,31 +65,31 @@ def suite_comonotone_optimality(
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
         for p in (1.0, 2.0, 3.0):
-            r = verify_comonotone_optimal(F, G, p, formula_shift=formula_shift)
+            r = verify_comonotone_optimal(F, G, p, formula_shift=_shift(corrupt))
             worst = max(worst, r.gap / max(1.0, r.lp_value))
             ok = ok and r.passed
             checks += 1
     return SuiteResult("comonotone_optimality", ok, worst, checks)
 
 
-def suite_formula_triangle(seed: int, pairs: int = 200) -> SuiteResult:
+def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -> SuiteResult:
     """CDF-integral, quantile-integral and copula-integral routes agree."""
     rng = random.Random(seed)
     worst = 0.0
     checks = 0
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
-        q1 = wp_quantile(F, G, 1.0).power_value
+        q1 = wp_quantile(F, G, 1.0).power_value + _shift(corrupt)
         worst = max(worst, abs(w1_cdf(F, G).power_value - q1))
         checks += 1
         for p in (1.0, 2.0, 3.0):
-            gap = abs(wp_via_M(F, G, p).power_value - wp_quantile(F, G, p).power_value)
-            worst = max(worst, gap)
+            quantile = wp_quantile(F, G, p).power_value + _shift(corrupt)
+            worst = max(worst, abs(wp_via_M(F, G, p).power_value - quantile))
             checks += 1
     return SuiteResult("formula_triangle", worst <= 1e-10, worst, checks)
 
 
-def suite_metric_axioms(seed: int, triples: int = 1000) -> SuiteResult:
+def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -> SuiteResult:
     """Identity, symmetry and the triangle inequality, p in {1, 2}."""
     rng = random.Random(seed)
     worst = 0.0
@@ -86,7 +100,7 @@ def suite_metric_axioms(seed: int, triples: int = 1000) -> SuiteResult:
         for p in (1.0, 2.0):
             if wp_quantile(mu, mu, p).value != 0.0:
                 ok = False
-            ab = wp_quantile(mu, nu, p).value
+            ab = wp_quantile(mu, nu, p).value + _shift(corrupt)
             ba = wp_quantile(nu, mu, p).value
             ac = wp_quantile(mu, rho, p).value
             cb = wp_quantile(rho, nu, p).value
@@ -101,7 +115,7 @@ def suite_metric_axioms(seed: int, triples: int = 1000) -> SuiteResult:
     return SuiteResult("metric_axioms", ok, worst, checks)
 
 
-def suite_decomposition(seed: int, count: int = 100) -> SuiteResult:
+def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
     """Shared-copula LP equals the coordinatewise sum, d in {2, 3}, p in {1, 2, 3}."""
     rng = random.Random(seed)
     worst = 0.0
@@ -111,20 +125,20 @@ def suite_decomposition(seed: int, count: int = 100) -> SuiteResult:
         d = 2 + (k % 2)
         C, mf, mg = random_shared_instance(rng, d)
         for p in (1.0, 2.0, 3.0):
-            r = verify_shared_copula_decomposition(C, mf, mg, p)
+            r = verify_shared_copula_decomposition(C, mf, mg, p, formula_shift=_shift(corrupt))
             worst = max(worst, r.gap / max(1.0, r.lp_value))
             ok = ok and r.passed
             checks += 1
     return SuiteResult("decomposition", ok, worst, checks)
 
 
-def suite_necessity(seed: int, count: int = 100) -> SuiteResult:
+def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
     """Different copulas with equal margins: LP > 0 while the sum vanishes;
     the projection lower bound holds on arbitrary instances."""
     rng = random.Random(seed)
     mu, nu = necessity_instance()
     lp, _ = solve_ot(mu, nu, power_cost(2.0))
-    naive = verify_projection_bound(mu, nu, 2.0).formula_value
+    naive = verify_projection_bound(mu, nu, 2.0, formula_shift=_shift(corrupt)).formula_value
     ok = lp >= 0.1 and naive == 0.0
     detail = f"witness: lp={lp!r}, coordinatewise sum={naive!r}"
     worst = 0.0
@@ -133,15 +147,20 @@ def suite_necessity(seed: int, count: int = 100) -> SuiteResult:
         d = 2 + (k % 2)
         a = random_discrete_nd(rng, d)
         b = random_discrete_nd(rng, d)
-        r = verify_projection_bound(a, b, 2.0)
+        r = verify_projection_bound(a, b, 2.0, formula_shift=_shift(corrupt))
         worst = max(worst, r.gap)
         ok = ok and r.passed
         checks += 1
     return SuiteResult("necessity", ok, worst, checks, detail)
 
 
-def suite_frechet_hoeffding(seed: int, evaluations: int = 10_000) -> SuiteResult:
-    """W <= C <= M on random evaluations of empirical copulas, d in {2, 3, 4}."""
+def suite_frechet_hoeffding(
+    seed: int, evaluations: int = 10_000, corrupt: bool = False
+) -> SuiteResult:
+    """W <= C <= M on random evaluations of empirical copulas, d in {2, 3, 4}.
+
+    corrupt=True evaluates 1 - C(u), since a small shift hides in the 1/n slack.
+    """
     rng = random.Random(seed)
     ok = True
     worst = 0.0
@@ -150,22 +169,24 @@ def suite_frechet_hoeffding(seed: int, evaluations: int = 10_000) -> SuiteResult
         for d in (2, 3, 4)
         for _ in range(5)
     ]
-    per = max(1, evaluations // len(copulas))
-    checks = 0
-    for c in copulas:
+    evaluator = (lambda c, u: 1.0 - eval_copula(c, u)) if corrupt else None
+    for k in range(evaluations):
+        c = copulas[k % len(copulas)]
         slack = 1.0 / c.n + 1e-12
-        for _ in range(per):
-            u = tuple(rng.random() for _ in range(c.dim))
-            r = frechet_hoeffding_check(c, u)
-            ok = ok and r.ok
-            # excess over the permitted 1/n discretization slack
-            worst = max(worst, r.lower - r.value - slack, r.value - r.upper - slack)
-            checks += 1
-    return SuiteResult("frechet_hoeffding", ok, worst, checks)
+        u = tuple(rng.random() for _ in range(c.dim))
+        r = frechet_hoeffding_check(c, u, evaluator)
+        ok = ok and r.ok
+        # excess over the permitted 1/n discretization slack
+        worst = max(worst, r.lower - r.value - slack, r.value - r.upper - slack)
+    return SuiteResult("frechet_hoeffding", ok, worst, evaluations)
 
 
-def suite_wpq_sandwich(seed: int, per_case: int = 50) -> SuiteResult:
-    """Exact W_{p,q}^p inside the norm-equivalence sandwich."""
+def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> SuiteResult:
+    """Exact W_{p,q}^p inside the norm-equivalence sandwich.
+
+    corrupt=True swaps p and q in the sandwich constant, since a small shift
+    hides in the gap between the LP and the bounds.
+    """
     rng = random.Random(seed)
     ok = True
     worst = -math.inf
@@ -174,17 +195,20 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50) -> SuiteResult:
         for d in (2, 3):
             for _ in range(per_case):
                 C, mf, mg = random_shared_instance(rng, d)
-                r = verify_wpq_sandwich(C, mf, mg, p, q)
+                r = verify_wpq_sandwich(C, mf, mg, p, q, swap_constant=corrupt)
                 ok = ok and r.passed
                 worst = max(worst, r.gap)
                 checks += 1
     return SuiteResult("wpq_sandwich", ok, worst, checks)
 
 
-def suite_continuous_sanity(seed: int = 0, atoms: int = 200) -> SuiteResult:
-    """W_2(U(0,1), U(0,2))^2 = 1/3 by quadrature, and near the discretized LP."""
+def suite_continuous_sanity(
+    seed: int = 0, atoms: int = 200, corrupt: bool = False
+) -> SuiteResult:
+    """W_2(U(0,1), U(0,2))^2 = 1/3 by quadrature and, within 2%, by the
+    discretized LP. The seed is unused: the instance is fixed."""
     F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
-    quad = wp_quantile(F, G, 2.0).power_value
+    quad = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
     gap_quad = abs(quad - 1.0 / 3.0)
     w = Fraction(1, atoms)
     mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), w) for k in range(atoms)])
@@ -201,7 +225,7 @@ def suite_continuous_sanity(seed: int = 0, atoms: int = 200) -> SuiteResult:
     )
 
 
-def suite_assignment(seed: int, count: int = 40) -> SuiteResult:
+def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> SuiteResult:
     """Assignment solver equals exhaustive enumeration for n <= 6."""
     rng = random.Random(seed)
     ok = True
@@ -222,7 +246,7 @@ def suite_assignment(seed: int, count: int = 40) -> SuiteResult:
         cost = power_cost(2.0)
         fast, _ = solve_assignment(mu, nu, cost)
         brute = brute_force_assignment(mu, nu, cost)
-        gap = abs(fast - brute)
+        gap = abs(fast + _shift(corrupt) - brute)
         worst = max(worst, gap)
         ok = ok and gap == 0.0
         checks += 1
@@ -243,16 +267,10 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suites(
-    names: list[str] | None = None, seed: int = 0, formula_shift: float = 0.0
+    names: list[str] | None = None, seed: int = 0, corrupt: bool = False
 ) -> list[SuiteResult]:
     chosen = names or list(SUITES)
-    results = []
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        fn = SUITES[name]
-        if name == "comonotone":
-            results.append(fn(seed, formula_shift=formula_shift))
-        else:
-            results.append(fn(seed))
-    return results
+    return [SUITES[name](seed, corrupt=corrupt) for name in chosen]

@@ -16,9 +16,9 @@ from typing import Sequence
 
 from scipy import integrate
 
-from .copulas import CopulaSpec, expect_comonotone
+from .copulas import CopulaSpec, expect_comonotone, resolve_grid
 from .distributions import Distribution1D, Empirical
-from .grids import GridSpec, U_CLAMP, adaptive_quadrature, exact_breakpoints, integrate_unit
+from .grids import GridSpec, U_CLAMP, integrate_unit
 
 
 class Method(str, Enum):
@@ -26,7 +26,6 @@ class Method(str, Enum):
     QUANTILE_INTEGRAL = "QuantileIntegral"
     COMONOTONE_COPULA_INTEGRAL = "ComonotoneCopulaIntegral"
     SHARED_COPULA_SUM = "SharedCopulaSum"
-    ORACLE_LP = "OracleLP"
 
 
 class MomentGateError(ValueError):
@@ -90,12 +89,6 @@ def _report(p: float, power: float, method: Method, err: float, **kw) -> Distanc
     )
 
 
-def _default_grid(F: Distribution1D, G: Distribution1D) -> GridSpec:
-    if isinstance(F, Empirical) and isinstance(G, Empirical):
-        return exact_breakpoints()
-    return adaptive_quadrature()
-
-
 def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
     """W_1 as the area between the distribution functions, int |F - G| dx."""
     _gate(F, 1.0)
@@ -141,11 +134,8 @@ def wp_quantile(
         raise ValueError("order p must be >= 1")
     _gate(F, p)
     _gate(G, p)
-    if grid is None:
-        grid = _default_grid(F, G)
+    grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
-        if not (isinstance(F, Empirical) and isinstance(G, Empirical)):
-            raise ValueError("exact breakpoints require two empirical laws")
         return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
     breaks = [float(b) for b in F.cumulative_breakpoints()]
     breaks += [float(b) for b in G.cumulative_breakpoints()]

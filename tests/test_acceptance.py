@@ -1,193 +1,71 @@
-"""Acceptance gate: every criterion at its stated tolerance, one line each."""
-import math
-import random
+"""Acceptance gate: each criterion runs its verification suite, one line each.
+
+The suites in wassercop.verify are the one definition of every criterion:
+their instances, tolerances and counts. This file only names the suite and
+seed of each criterion.
+"""
 import time
-from fractions import Fraction
 
-import pytest
-
-from wassercop import (
-    DiscreteMeasureND,
-    Uniform,
-    brute_force_assignment,
-    frechet_hoeffding_check,
-    power_cost,
-    solve_assignment,
-    solve_ot,
-    verify_comonotone_optimal,
-    verify_projection_bound,
-    verify_shared_copula_decomposition,
-    verify_wpq_sandwich,
-    w1_cdf,
-    wp_quantile,
-    wp_via_M,
-)
-from wassercop.instances import (
-    necessity_instance,
-    random_discrete_nd,
-    random_empirical,
-    random_empirical_copula,
-    random_shared_instance,
-)
+from wassercop.verify import SUITES
 
 SEED = 20240817
 
+# criterion -> (verify.SUITES key, seed); the continuous suite's instance is fixed
+CRITERIA = {
+    1: ("comonotone", SEED),
+    2: ("formula_triangle", SEED),
+    3: ("metric", SEED + 1),
+    4: ("decomposition", SEED + 2),
+    5: ("necessity", SEED + 3),
+    6: ("frechet_hoeffding", SEED + 4),
+    7: ("wpq_sandwich", SEED + 5),
+    8: ("continuous", SEED),
+    9: ("assignment", SEED + 6),
+}
 
-def report(name, passed, detail=""):
-    print(f"{'PASS' if passed else 'FAIL'} {name} {detail}".rstrip())
-    assert passed, f"{name}: {detail}"
 
-
-def seeded_pairs(count=200, seed=SEED):
-    rng = random.Random(seed)
-    return [(random_empirical(rng, 12), random_empirical(rng, 12)) for _ in range(count)]
+def run_criterion(number):
+    suite, seed = CRITERIA[number]
+    r = SUITES[suite](seed)
+    line = f"criterion {number} ({r.name}): checks={r.checks} max_gap={r.max_gap:.3e} {r.detail}"
+    print(f"{'PASS' if r.passed else 'FAIL'} {line}".rstrip())
+    assert r.passed, line
 
 
 def test_criterion_1_comonotone_optimality():
     start = time.monotonic()
-    worst = 0.0
-    for F, G in seeded_pairs():
-        for p in (1.0, 2.0, 3.0):
-            r = verify_comonotone_optimal(F, G, p)
-            worst = max(worst, r.gap / max(1.0, r.lp_value))
+    run_criterion(1)
     elapsed = time.monotonic() - start
-    report(
-        "criterion 1 (comonotone optimality, 200 pairs x p in {1,2,3})",
-        worst <= 1e-9 and elapsed <= 10.0,
-        f"max_rel_gap={worst:.3e} elapsed={elapsed:.2f}s",
-    )
+    assert elapsed <= 10.0, f"criterion 1 took {elapsed:.2f}s"
 
 
 def test_criterion_2_formula_triangle():
-    worst = 0.0
-    for F, G in seeded_pairs():
-        q1 = wp_quantile(F, G, 1.0).power_value
-        worst = max(worst, abs(w1_cdf(F, G).power_value - q1))
-        for p in (1.0, 2.0, 3.0):
-            worst = max(
-                worst, abs(wp_via_M(F, G, p).power_value - wp_quantile(F, G, p).power_value)
-            )
-    report("criterion 2 (formula triangle, 200 pairs)", worst <= 1e-10, f"max_gap={worst:.3e}")
+    run_criterion(2)
 
 
 def test_criterion_3_metric_axioms():
-    rng = random.Random(SEED + 1)
-    identity_ok = True
-    worst_sym = 0.0
-    worst_tri = 0.0
-    for _ in range(1000):
-        mu, nu, rho = (random_empirical(rng, 12) for _ in range(3))
-        for p in (1.0, 2.0):
-            identity_ok = identity_ok and wp_quantile(mu, mu, p).value == 0.0
-            ab = wp_quantile(mu, nu, p).value
-            worst_sym = max(worst_sym, abs(ab - wp_quantile(nu, mu, p).value))
-            worst_tri = max(
-                worst_tri, ab - wp_quantile(mu, rho, p).value - wp_quantile(rho, nu, p).value
-            )
-    report(
-        "criterion 3 (metric axioms, 1000 triples, p in {1,2})",
-        identity_ok and worst_sym <= 1e-12 and worst_tri <= 1e-10,
-        f"sym={worst_sym:.3e} tri={worst_tri:.3e}",
-    )
+    run_criterion(3)
 
 
 def test_criterion_4_shared_copula_decomposition():
-    rng = random.Random(SEED + 2)
-    worst = 0.0
-    for k in range(100):
-        d = 2 + (k % 2)
-        C, mf, mg = random_shared_instance(rng, d, max_rows=10)
-        for p in (1.0, 2.0, 3.0):
-            r = verify_shared_copula_decomposition(C, mf, mg, p)
-            worst = max(worst, r.gap / max(1.0, r.lp_value))
-    report(
-        "criterion 4 (shared-copula decomposition, 100 instances, d in {2,3})",
-        worst <= 1e-9,
-        f"max_rel_gap={worst:.3e}",
-    )
+    run_criterion(4)
 
 
 def test_criterion_5_necessity_and_projection_bound():
-    mu, nu = necessity_instance()
-    lp, _ = solve_ot(mu, nu, power_cost(2.0))
-    coordinate_sum = verify_projection_bound(mu, nu, 2.0).formula_value
-    witness_ok = lp >= 0.1 and coordinate_sum == 0.0
-    rng = random.Random(SEED + 3)
-    bound_ok = True
-    worst = 0.0
-    for k in range(100):
-        d = 2 + (k % 2)
-        r = verify_projection_bound(random_discrete_nd(rng, d), random_discrete_nd(rng, d), 2.0)
-        bound_ok = bound_ok and r.lp_value >= r.formula_value - 1e-10
-        worst = max(worst, r.formula_value - r.lp_value)
-    report(
-        "criterion 5 (necessity witness + projection bound, 100 instances)",
-        witness_ok and bound_ok,
-        f"witness_lp={lp:.4f} coord_sum={coordinate_sum} max_excess={worst:.3e}",
-    )
+    run_criterion(5)
 
 
 def test_criterion_6_frechet_hoeffding():
-    rng = random.Random(SEED + 4)
-    copulas = [random_empirical_copula(rng, rng.randint(2, 20), d) for d in (2, 3, 4) for _ in range(5)]
-    checks = 0
-    all_ok = True
-    while checks < 10_000:
-        c = copulas[checks % len(copulas)]
-        u = tuple(rng.random() for _ in range(c.dim))
-        all_ok = all_ok and frechet_hoeffding_check(c, u).ok
-        checks += 1
-    report(
-        "criterion 6 (Frechet-Hoeffding, 10^4 evaluations, d in {2,3,4})",
-        all_ok,
-        f"checks={checks}",
-    )
+    run_criterion(6)
 
 
 def test_criterion_7_wpq_sandwich():
-    rng = random.Random(SEED + 5)
-    all_ok = True
-    worst = -math.inf
-    for p, q in ((1.0, 2.0), (2.0, 1.0), (2.0, 3.0), (3.0, 2.0)):
-        for d in (2, 3):
-            for _ in range(50):
-                C, mf, mg = random_shared_instance(rng, d, max_rows=10)
-                r = verify_wpq_sandwich(C, mf, mg, p, q)
-                all_ok = all_ok and r.passed
-                worst = max(worst, r.gap)
-    report(
-        "criterion 7 (W_pq sandwich, 4 order pairs x d in {2,3} x 50)",
-        all_ok and worst <= 1e-10,
-        f"max_excess={worst:.3e}",
-    )
+    run_criterion(7)
 
 
 def test_criterion_8_continuous_sanity():
-    F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
-    quad = wp_quantile(F, G, 2.0).power_value
-    quad_ok = abs(quad - 1.0 / 3.0) <= 1e-8
-    n = 200
-    w = Fraction(1, n)
-    mu = DiscreteMeasureND([((F.quantile((k + 0.5) / n),), w) for k in range(n)])
-    nu = DiscreteMeasureND([((G.quantile((k + 0.5) / n),), w) for k in range(n)])
-    lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=n)
-    lp_ok = abs(lp - quad) <= 0.02 * quad
-    report(
-        "criterion 8 (continuous sanity, W2(U(0,1),U(0,2))^2 = 1/3)",
-        quad_ok and lp_ok,
-        f"quad={quad:.10f} lp={lp:.10f}",
-    )
+    run_criterion(8)
 
 
 def test_criterion_9_assignment_cross_check():
-    rng = random.Random(SEED + 6)
-    all_exact = True
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        d = rng.randint(1, 3)
-        w = Fraction(1, n)
-        mu = DiscreteMeasureND([(tuple(rng.uniform(-2, 2) for _ in range(d)), w) for _ in range(n)])
-        nu = DiscreteMeasureND([(tuple(rng.uniform(-2, 2) for _ in range(d)), w) for _ in range(n)])
-        cost = power_cost(2.0)
-        all_exact = all_exact and solve_assignment(mu, nu, cost)[0] == brute_force_assignment(mu, nu, cost)
-    report("criterion 9 (assignment vs exhaustive enumeration, n <= 6)", all_exact)
+    run_criterion(9)

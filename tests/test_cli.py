@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from wassercop.cli import main
+
 
 def run_cli(*args, env=None):
     return subprocess.run(
@@ -92,6 +94,40 @@ class TestCompute:
         f, g = running_pair
         r = run_cli("compute", "--p", "0.5", f, g)
         assert r.returncode == 4
+
+
+class TestGridArguments:
+    """In process through cli.main: the grid options are usage errors (exit 2)."""
+
+    @pytest.fixture
+    def uniform_pair(self, tmp_path):
+        a = tmp_path / "A.json"
+        b = tmp_path / "B.json"
+        a.write_text(json.dumps({"kind": "uniform", "a": 0, "b": 1}))
+        b.write_text(json.dumps({"kind": "uniform", "a": 0, "b": 2}))
+        return str(a), str(b)
+
+    @pytest.mark.parametrize("n", ["0", "1", "-3", "ten"])
+    def test_grid_n_below_two_exit_2(self, uniform_pair, n, capsys):
+        assert main(["compute", *uniform_pair, "--p", "2", "--grid-n", n]) == 2
+        assert main(["sample", *uniform_pair, "--grid-n", n]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_grid_n_ignores_bad_env_tolerance(self, uniform_pair, monkeypatch, capsys):
+        monkeypatch.setenv("WASSERCOP_GRID_TOL", "abc")
+        assert main(["compute", *uniform_pair, "--p", "2", "--grid-n", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["power_value"] == pytest.approx(1 / 3, rel=1e-2)
+
+    @pytest.mark.parametrize("tol", ["abc", "0", "-1e-8", "nan"])
+    def test_bad_env_tolerance_exit_2(self, uniform_pair, monkeypatch, tol, capsys):
+        monkeypatch.setenv("WASSERCOP_GRID_TOL", tol)
+        assert main(["compute", *uniform_pair, "--p", "2"]) == 2
+        assert "WASSERCOP_GRID_TOL" in capsys.readouterr().err
+
+    def test_env_tolerance_used(self, uniform_pair, monkeypatch, capsys):
+        monkeypatch.setenv("WASSERCOP_GRID_TOL", "1e-6")
+        assert main(["compute", *uniform_pair, "--p", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["power_value"] == pytest.approx(1 / 3, abs=1e-6)
 
 
 class TestBounds:
