@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -66,6 +67,13 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _order(text: str) -> float:
+    p = float(text)
+    if not (math.isfinite(p) and p >= 1):
+        raise argparse.ArgumentTypeError(f"order must be finite and >= 1, got {text!r}")
+    return p
+
+
 def _tolerance(text: str) -> float:
     tol = float(text)
     if not tol > 0:
@@ -117,8 +125,6 @@ def cmd_compute(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.q is None:
-        raise ParseError("bounds needs --q")
     if args.copula is None and len(args.margins_f) > 1:
         raise ParseError("--copula is required for more than one margin")
     C = (
@@ -160,8 +166,6 @@ def cmd_sample(args) -> int:
     F = load_distribution(args.inputs[0])
     G = load_distribution(args.inputs[1])
     grid = uniform_grid(args.grid_n) if args.grid_n is not None else None
-    if grid is None and not (isinstance(F, Empirical) and isinstance(G, Empirical)):
-        grid = uniform_grid(1000)
     pair = comonotone_coupling(F, G, grid)
     merged: dict[tuple[float, float], float] = {}
     for x, y, m in pair.atoms:
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-n", type=_grid_size, default=None, help="midpoint grid size")
         sp.add_argument("--grid-tol", type=_tolerance, default=None, help="quadrature tolerance")
         if with_p:
-            sp.add_argument("--p", type=float, required=True, help="order p >= 1")
+            sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
 
     sp = sub.add_parser("compute", help="compute a distance between two laws")
     add_common(sp)
@@ -219,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bounds", help="two-sided bounds on the q-norm distance power")
     add_common(sp)
-    sp.add_argument("--q", type=float, required=True, help="norm order q >= 1, q != p")
+    sp.add_argument("--q", type=_order, required=True, help="norm order q >= 1, q != p")
     sp.add_argument("--copula", default=None, help="required unless there is a single margin")
     sp.add_argument("--margins-f", nargs="+", required=True)
     sp.add_argument("--margins-g", nargs="+", required=True)
@@ -245,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oracle", help="exact LP value and coupling witness")
     sp.add_argument("inputs", nargs=2, help="two finitely supported laws")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
     sp.add_argument("--atom-cap", type=int, default=64)
     sp.set_defaults(fn=cmd_oracle)
 

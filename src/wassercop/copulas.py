@@ -8,9 +8,11 @@ from itertools import product
 from typing import Callable, Sequence, Union
 
 from .distributions import Distribution1D, Empirical, _check_u
-from .grids import GridSpec, adaptive_quadrature, exact_breakpoints, integrate_unit
+from .grids import GridSpec, adaptive_quadrature, exact_breakpoints, integrate_unit, uniform_grid
 
 FH_TOL = 1e-12
+# midpoint cells of comonotone_coupling's default grid for a non-atomic pair
+COUPLING_GRID_N = 1000
 
 
 def _check_unit_vector(u: Sequence[float]) -> tuple[float, ...]:
@@ -223,17 +225,25 @@ def resolve_grid(
     return grid
 
 
+def merged_levels(F: Empirical, G: Empirical) -> list[float]:
+    """Sorted union of the cumulative levels of two atomic laws; on each cell
+    between consecutive levels both quantile functions are constant."""
+    return sorted(set(F.cumulative()).union(G.cumulative()))
+
+
 @dataclass(frozen=True)
 class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
 
-    atoms hold (x, y, mass) triples; masses are exact rationals on the
-    breakpoint path and floats on quadrature grids. Both coordinate
-    sequences are nondecreasing along the grid.
+    atoms hold (x, y, mass) triples with float masses. On the breakpoint
+    path u_grid holds the right ends of the cells, the merged float levels
+    of both laws (exact weights, each level rounded once), so equal rational
+    levels give one cell; on a uniform grid it holds the cell midpoints.
+    Both coordinates are nondecreasing.
     """
 
     u_grid: tuple[float, ...]
-    atoms: tuple[tuple[float, float, object], ...]
+    atoms: tuple[tuple[float, float, float], ...]
     exact: bool
 
 
@@ -245,30 +255,30 @@ def comonotone_coupling(
     For two atomic laws the grid is the merged set of cumulative-weight
     breakpoints of both staircases (the north-west corner rule on sorted
     atoms), which realizes the coupling exactly with at most
-    n_F + n_G - 1 atoms. Otherwise a grid on (0, 1) is used.
+    n_F + n_G - 1 atoms. Otherwise a grid on (0, 1) is used, by default
+    COUPLING_GRID_N midpoint cells.
     """
-    grid = resolve_grid(F, G, grid)
-    if grid.kind == "exact":
+    resolved = resolve_grid(F, G, grid)
+    if grid is None and resolved.kind == "adaptive":
+        resolved = uniform_grid(COUPLING_GRID_N)
+    if resolved.kind == "exact":
         cf, cg = F.cumulative(), G.cumulative()
         xf, xg = F.locations, G.locations
+        levels = merged_levels(F, G)
         i = j = 0
-        prev = Fraction(0)
-        atoms: list[tuple[float, float, Fraction]] = []
-        levels: list[float] = []
-        while i < len(cf) and j < len(cg):
-            c = min(cf[i], cg[j])
-            mass = c - prev
-            if mass > 0:
-                atoms.append((xf[i], xg[j], mass))
-                levels.append(float(c))
-            if cf[i] == c:
+        prev = 0.0
+        atoms: list[tuple[float, float, float]] = []
+        for c in levels:
+            # the atoms whose level intervals contain the cell (prev, c]
+            while cf[i] < c:
                 i += 1
-            if cg[j] == c:
+            while cg[j] < c:
                 j += 1
+            atoms.append((xf[i], xg[j], c - prev))
             prev = c
         return ComonotonePair(u_grid=tuple(levels), atoms=tuple(atoms), exact=True)
-    if grid.kind == "uniform":
-        n = grid.n
+    if resolved.kind == "uniform":
+        n = resolved.n
         us = tuple((k + 0.5) / n for k in range(n))
         atoms = tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us)
         return ComonotonePair(u_grid=us, atoms=atoms, exact=False)
@@ -294,10 +304,9 @@ def expect_comonotone(
             v = g(x, y)
             if not math.isfinite(v):
                 raise ValueError(f"integrand is not finite at ({x}, {y})")
-            terms.append(float(m) * v)
+            terms.append(m * v)
         return math.fsum(terms), 0.0
-    breaks = [float(b) for b in F.cumulative_breakpoints()]
-    breaks += [float(b) for b in G.cumulative_breakpoints()]
+    breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
     return integrate_unit(lambda u: g(F.quantile(u), G.quantile(u)), grid, breaks)
 
 

@@ -1,8 +1,8 @@
 """One-dimensional probability laws with exact CDF and quantile evaluation.
 
 Every law exposes the distribution function F and its generalized inverse
-F^{-1}(u) = inf{x : F(x) >= u}. For atomic laws both are evaluated exactly
-(weights are kept as rationals internally); parametric families use closed
+F^{-1}(u) = inf{x : F(x) >= u}. Atomic laws read exact integer weights
+through correctly rounded float levels; parametric families use closed
 forms, with the normal inverse CDF accurate to well below 1e-9.
 """
 from __future__ import annotations
@@ -11,6 +11,8 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -71,90 +73,93 @@ class Distribution1D:
             raise ValueError("moment order p must be >= 1")
         return MomentCertificate(p=float(p), bound=self._abs_moment(float(p)))
 
-    def cumulative_breakpoints(self) -> tuple[Fraction, ...]:
+    def cumulative_breakpoints(self) -> tuple[float, ...]:
         """Interior jump levels of the quantile staircase (empty if none)."""
         return ()
 
 
+def merge_atoms(atoms: Iterable[tuple[object, object]]) -> tuple[list, list[int], int]:
+    """Merge duplicate locations and normalise their weights exactly.
+
+    Each weight is parsed once (Fraction reads "1/2", "0.125" or a float
+    exactly) and scaled to an integer over one common denominator. Returns
+    the sorted distinct locations, coprime numerators and their sum `total`.
+    """
+    parsed = [(loc, Fraction(w)) for loc, w in atoms]
+    if not parsed:
+        raise ValueError("need at least one atom")
+    for _, w in parsed:
+        if w.numerator <= 0:
+            raise ValueError(f"atom weight must be positive, got {w}")
+    den = math.lcm(*{w.denominator for _, w in parsed})
+    merged: dict = {}
+    for loc, w in parsed:
+        merged[loc] = merged.get(loc, 0) + w.numerator * (den // w.denominator)
+    locs = sorted(merged)
+    g = math.gcd(*merged.values())
+    nums = [merged[x] // g for x in locs]
+    return locs, nums, sum(nums)
+
+
 class Empirical(Distribution1D):
-    """Finitely supported law: sorted atoms with exact rational weights."""
+    """Finitely supported law: sorted atoms with exact weights nums / total,
+    read through float levels (cumulative weights, each rounded once)."""
 
     kind = "empirical"
 
     def __init__(self, atoms: Iterable[tuple[float, object]]):
-        merged: dict[float, Fraction] = {}
-        for loc, w in atoms:
-            loc = _require_finite(loc, "atom location")
-            # decimal strings and Fractions stay exact; floats convert to
-            # their exact binary rational
-            wf = Fraction(w)
-            if wf <= 0:
-                raise ValueError(f"atom weight must be positive, got {w!r}")
-            merged[loc] = merged.get(loc, Fraction(0)) + wf
-        if not merged:
-            raise ValueError("empirical law needs at least one atom")
-        total = sum(merged.values())
-        locs = sorted(merged)
+        locs, nums, total = merge_atoms(
+            (_require_finite(loc, "atom location"), w) for loc, w in atoms
+        )
         self._locs: tuple[float, ...] = tuple(locs)
-        self._weights: tuple[Fraction, ...] = tuple(merged[x] / total for x in locs)
-        cum: list[Fraction] = []
-        acc = Fraction(0)
-        for w in self._weights:
-            acc += w
-            cum.append(acc)
-        self._cum: tuple[Fraction, ...] = tuple(cum)
-        self._cum_float: tuple[float, ...] = tuple(float(c) for c in cum)
+        self._nums: tuple[int, ...] = tuple(nums)
+        self._total = total
+        self._cum: tuple[float, ...] = tuple(c / total for c in accumulate(nums))
 
     @property
     def locations(self) -> tuple[float, ...]:
         return self._locs
 
-    @property
+    @cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        return self._weights
+        """Exact weights, built on first use (the oracle reads them)."""
+        return tuple(Fraction(n, self._total) for n in self._nums)
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple((x, float(w)) for x, w in zip(self._locs, self._weights))
+        return tuple((x, n / self._total) for x, n in zip(self._locs, self._nums))
 
-    def cumulative(self) -> tuple[Fraction, ...]:
+    def cumulative(self) -> tuple[float, ...]:
         return self._cum
 
-    def cumulative_breakpoints(self) -> tuple[Fraction, ...]:
+    def cumulative_breakpoints(self) -> tuple[float, ...]:
         return self._cum[:-1]
 
     def cdf(self, x: float) -> float:
         x = _require_finite(x, "cdf argument")
         k = bisect_right(self._locs, x)
-        return float(self._cum[k - 1]) if k else 0.0
+        return self._cum[k - 1] if k else 0.0
 
     def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        if u == 0.0:
-            return self._locs[0]
-        # first index with cumulative weight >= u. u is matched against the
-        # float-rounded levels that cdf() reports, so quantile(cdf(x)) <= x
-        # even when rounding a level up to the nearest float.
-        k = bisect_left(self._cum_float, u)
-        if k == len(self._locs):
-            k -= 1
-        return self._locs[k]
+        # first index with cumulative weight >= u (levels are positive and the
+        # last is exactly 1.0): the levels cdf() reports, so quantile(cdf(x)) <= x
+        return self._locs[bisect_left(self._cum, _check_u(u))]
 
     def _abs_moment(self, p: float) -> float:
-        return math.fsum(float(w) * abs(x) ** p for x, w in zip(self._locs, self._weights))
+        return math.fsum(n / self._total * abs(x) ** p for x, n in zip(self._locs, self._nums))
 
     def __eq__(self, other):
         return (
             isinstance(other, Empirical)
             and self._locs == other._locs
-            and self._weights == other._weights
+            and self._nums == other._nums
         )
 
     def __hash__(self):
-        return hash((self._locs, self._weights))
+        return hash((self._locs, self._nums))
 
     def __repr__(self):
-        return f"Empirical({list(zip(self._locs, map(float, self._weights)))})"
+        return f"Empirical({list(self.atoms)})"
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ identical instances bit for bit.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .copulas import EmpiricalCopula
@@ -15,10 +14,10 @@ from .oracle import DiscreteMeasureND
 
 
 def random_empirical(rng: random.Random, max_atoms: int = 12) -> Empirical:
-    """Empirical law with distinct locations and rational weights."""
+    """Empirical law with distinct locations and integer weights."""
     n = rng.randint(1, max_atoms)
     locs = [round(rng.uniform(-5.0, 5.0), 6) for _ in range(n)]
-    weights = [Fraction(rng.randint(1, 9)) for _ in range(n)]
+    weights = [rng.randint(1, 9) for _ in range(n)]
     return Empirical(zip(locs, weights))
 
 
@@ -65,7 +64,7 @@ def random_discrete_nd(
     atoms = []
     for _ in range(n):
         loc = tuple(round(rng.uniform(-3.0, 3.0), 6) for _ in range(d))
-        atoms.append((loc, Fraction(rng.randint(1, 9))))
+        atoms.append((loc, rng.randint(1, 9)))
     return DiscreteMeasureND(atoms)
 
 
@@ -76,7 +75,6 @@ def necessity_instance() -> tuple[DiscreteMeasureND, DiscreteMeasureND]:
     the antidiagonal; any coupling must move mass, so the optimal cost is
     strictly positive while every coordinatewise distance vanishes.
     """
-    half = Fraction(1, 2)
-    mu = DiscreteMeasureND([((0.25, 0.25), half), ((0.75, 0.75), half)])
-    nu = DiscreteMeasureND([((0.25, 0.75), half), ((0.75, 0.25), half)])
+    mu = DiscreteMeasureND([((0.25, 0.25), 1), ((0.75, 0.75), 1)])
+    nu = DiscreteMeasureND([((0.25, 0.75), 1), ((0.75, 0.25), 1)])
     return mu, nu

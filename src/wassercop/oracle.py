@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .copulas import EmpiricalCopula, discretize_joint, shared_copula_build
-from .distributions import Distribution1D, Empirical
+from .distributions import Distribution1D, Empirical, merge_atoms
 from .wasserstein import wp_lower_bound_nd, wp_quantile, wp_shared_nd, wpq_bounds
 
 DEFAULT_ATOM_CAP = 64
@@ -46,27 +46,18 @@ class DiscreteMeasureND:
     """Finitely supported probability measure on R^d with rational masses."""
 
     def __init__(self, atoms: Sequence[tuple[Sequence[float], object]]):
-        merged: dict[tuple[float, ...], Fraction] = {}
-        dim = None
+        checked = []
         for loc, mass in atoms:
             loc = tuple(float(c) for c in loc)
             if any(not math.isfinite(c) for c in loc):
                 raise ValueError("atom locations must be finite")
-            if dim is None:
-                dim = len(loc)
-            elif len(loc) != dim:
+            if checked and len(loc) != len(checked[0][0]):
                 raise ValueError("all atoms must share a dimension")
-            m = Fraction(mass)
-            if m <= 0:
-                raise ValueError("atom masses must be positive")
-            merged[loc] = merged.get(loc, Fraction(0)) + m
-        if not merged:
-            raise ValueError("measure needs at least one atom")
-        total = sum(merged.values())
-        locs = sorted(merged)
+            checked.append((loc, mass))
+        locs, nums, total = merge_atoms(checked)
         self.locations: tuple[tuple[float, ...], ...] = tuple(locs)
-        self.masses: tuple[Fraction, ...] = tuple(merged[x] / total for x in locs)
-        self.dim = dim
+        self.masses: tuple[Fraction, ...] = tuple(Fraction(n, total) for n in nums)
+        self.dim = len(locs[0])
 
     @classmethod
     def from_empirical(cls, d: Empirical) -> "DiscreteMeasureND":

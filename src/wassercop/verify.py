@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .copulas import eval_copula, frechet_hoeffding_check
@@ -163,7 +162,7 @@ def suite_frechet_hoeffding(
     """
     rng = random.Random(seed)
     ok = True
-    worst = 0.0
+    worst = -math.inf
     copulas = [
         random_empirical_copula(rng, rng.randint(2, 20), d)
         for d in (2, 3, 4)
@@ -210,9 +209,8 @@ def suite_continuous_sanity(
     F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
     quad = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
     gap_quad = abs(quad - 1.0 / 3.0)
-    w = Fraction(1, atoms)
-    mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), w) for k in range(atoms)])
-    nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), w) for k in range(atoms)])
+    mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
+    nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=atoms)
     gap_lp = abs(lp - 1.0 / 3.0) / (1.0 / 3.0)
     ok = gap_quad <= 1e-8 and gap_lp <= 0.02
@@ -234,12 +232,11 @@ def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> Suite
     for _ in range(count):
         n = rng.randint(1, 6)
         d = rng.randint(1, 3)
-        w = Fraction(1, n)
         mu = DiscreteMeasureND(
-            [(tuple(rng.uniform(-2, 2) for _ in range(d)), w) for _ in range(n)]
+            [(tuple(rng.uniform(-2, 2) for _ in range(d)), 1) for _ in range(n)]
         )
         nu = DiscreteMeasureND(
-            [(tuple(rng.uniform(-2, 2) for _ in range(d)), w) for _ in range(n)]
+            [(tuple(rng.uniform(-2, 2) for _ in range(d)), 1) for _ in range(n)]
         )
         if len(mu) != n or len(nu) != n:  # duplicate merge would break uniformity
             continue

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from scipy import integrate
 
-from .copulas import CopulaSpec, expect_comonotone, resolve_grid
+from .copulas import CopulaSpec, expect_comonotone, merged_levels, resolve_grid
 from .distributions import Distribution1D, Empirical
 from .grids import GridSpec, U_CLAMP, integrate_unit
 
@@ -73,8 +72,9 @@ class DistanceReport:
 def _gate(d: Distribution1D, p: float) -> None:
     try:
         d.moment(p)
-    except ValueError as exc:
-        raise MomentGateError(f"finite moment of order {p} required: {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        reason = "it overflows a float" if isinstance(exc, OverflowError) else exc
+        raise MomentGateError(f"finite moment of order {p:g} required: {reason}") from exc
 
 
 def _report(p: float, power: float, method: Method, err: float, **kw) -> DistanceReport:
@@ -112,16 +112,13 @@ def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
 
 
 def _wp_power_empirical(F: Empirical, G: Empirical, p: float) -> float:
-    # quantiles are constant on each cell between merged cumulative
-    # breakpoints, so evaluating at cell midpoints makes the sum exact
-    breaks = sorted(set(F.cumulative()) | set(G.cumulative()))
+    # quantiles are constant on each cell between merged levels, so
+    # evaluating them at cell midpoints makes the sum exact
     terms = []
-    prev = Fraction(0)
-    for c in breaks:
-        mass = c - prev
-        if mass > 0:
-            u = (prev + c) / 2
-            terms.append(float(mass) * abs(F.quantile(float(u)) - G.quantile(float(u))) ** p)
+    prev = 0.0
+    for c in merged_levels(F, G):
+        u = (prev + c) / 2
+        terms.append((c - prev) * abs(F.quantile(u) - G.quantile(u)) ** p)
         prev = c
     return math.fsum(terms)
 
@@ -137,8 +134,7 @@ def wp_quantile(
     grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
         return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
-    breaks = [float(b) for b in F.cumulative_breakpoints()]
-    breaks += [float(b) for b in G.cumulative_breakpoints()]
+    breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
     value, err = integrate_unit(
         lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
     )

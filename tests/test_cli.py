@@ -90,10 +90,12 @@ class TestCompute:
         r = run_cli("compute", "--p", "1", "nope1.json", "nope2.json")
         assert r.returncode == 2
 
-    def test_invalid_p_exit_4(self, running_pair):
-        f, g = running_pair
-        r = run_cli("compute", "--p", "0.5", f, g)
-        assert r.returncode == 4
+    def test_overflowing_moment_exit_3(self, running_pair, tmp_path):
+        far = tmp_path / "far.json"
+        far.write_text(json.dumps({"kind": "empirical", "atoms": [[1e200, "1"]]}))
+        r = run_cli("compute", "--p", "3", str(far), running_pair[0])
+        assert r.returncode == 3
+        assert "finite moment of order 3 required" in r.stderr
 
 
 class TestGridArguments:
@@ -128,6 +130,19 @@ class TestGridArguments:
         monkeypatch.setenv("WASSERCOP_GRID_TOL", "1e-6")
         assert main(["compute", *uniform_pair, "--p", "2"]) == 0
         assert json.loads(capsys.readouterr().out)["power_value"] == pytest.approx(1 / 3, abs=1e-6)
+
+
+class TestOrderArguments:
+    """In process through cli.main: --p and --q must be finite and >= 1 (exit 2)."""
+
+    @pytest.mark.parametrize("order", ["nan", "inf", "-inf", "0.5"])
+    def test_bad_order_exit_2(self, running_pair, order, capsys):
+        f, g = running_pair
+        assert main(["compute", f, g, "--p", order]) == 2
+        assert main(["oracle", f, g, "--p", order]) == 2
+        assert main(["bounds", "--p", order, "--q", "2", "--margins-f", f, "--margins-g", g]) == 2
+        assert main(["bounds", "--p", "2", "--q", order, "--margins-f", f, "--margins-g", g]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestBounds:
@@ -221,3 +236,9 @@ class TestOracle:
         assert out["power_value"] == pytest.approx(1.5, abs=1e-12)
         total = sum(e["mass"] for e in out["entries"])
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_atom_cap_exit_4(self, running_pair):
+        f, g = running_pair
+        r = run_cli("oracle", f, g, "--p", "2", "--atom-cap", "1")
+        assert r.returncode == 4
+        assert "atom cap" in r.stderr

@@ -28,6 +28,8 @@ from wassercop import (
     solve_ot,
     DiscreteMeasureND,
 )
+from wassercop.copulas import COUPLING_GRID_N
+from wassercop.grids import adaptive_quadrature
 
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
@@ -142,18 +144,39 @@ class TestComonotoneCoupling:
         ]
 
     def test_margins_reproduced_exactly(self):
+        # the cells are the merged levels, and the cells of each atom of
+        # either law tile exactly that atom's own level interval
         rng = random.Random(5)
         for _ in range(50):
             F = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
             G = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
             pair = comonotone_coupling(F, G)
-            row: dict[float, Fraction] = {}
-            col: dict[float, Fraction] = {}
-            for x, y, m in pair.atoms:
-                row[x] = row.get(x, Fraction(0)) + m
-                col[y] = col.get(y, Fraction(0)) + m
-            assert row == dict(zip(F.locations, F.weights))
-            assert col == dict(zip(G.locations, G.weights))
+            assert pair.u_grid == tuple(sorted(set(F.cumulative()) | set(G.cumulative())))
+            cells = list(zip((0.0,) + pair.u_grid[:-1], pair.u_grid, pair.atoms))
+            assert all(m == hi - lo for lo, hi, (_, _, m) in cells)
+            for k, law in enumerate((F, G)):
+                covered: dict[float, list[float]] = {}
+                for lo, hi, atom in cells:
+                    covered.setdefault(atom[k], [lo, hi])[1] = hi
+                levels = (0.0,) + law.cumulative()
+                assert covered == {
+                    x: [levels[i], levels[i + 1]] for i, x in enumerate(law.locations)
+                }
+
+    def test_coinciding_levels_share_one_cell(self):
+        # 0.1 + 0.2 and 0.3 are one level, so no sliver cell appears between them
+        F = Empirical([(0, "0.1"), (1, "0.2"), (2, "0.7")])
+        G = Empirical([(0, "0.3"), (5, "0.7")])
+        pair = comonotone_coupling(F, G)
+        assert pair.u_grid == (0.1, 0.3, 1.0)
+        assert [(x, y) for x, y, _ in pair.atoms] == [(0, 0), (1, 0), (2, 5)]
+
+    def test_default_grid_for_non_atomic_pair(self):
+        pair = comonotone_coupling(Uniform(0, 1), Uniform(0, 2))
+        assert not pair.exact and len(pair.atoms) == COUPLING_GRID_N
+        assert all(y == 2 * x and m == 1 / COUPLING_GRID_N for x, y, m in pair.atoms)
+        with pytest.raises(ValueError):
+            comonotone_coupling(Uniform(0, 1), Uniform(0, 2), adaptive_quadrature())
 
     def test_both_coordinates_nondecreasing(self):
         pair = comonotone_coupling(F_RUN, G_RUN)

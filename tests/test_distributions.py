@@ -88,6 +88,8 @@ class TestEmpiricalFromSamples:
     def test_weight_normalization(self):
         d = empirical_from_samples([0, 1], [1, 3])
         assert d.weights == (Fraction(1, 4), Fraction(3, 4))
+        scaled = empirical_from_samples([0, 1], [2, "6.0"])
+        assert d == scaled and hash(d) == hash(scaled)
 
     def test_order_independence(self):
         a = empirical_from_samples([3, 1, 2], ["0.2", "0.5", "0.3"])

@@ -24,3 +24,9 @@ def test_corruption_fails_every_suite(name, monkeypatch):
     monkeypatch.setitem(SUITES, name, partial(SUITES[name], **SMALL[name]))
     assert run_suites([name])[0].passed is True
     assert run_suites([name], corrupt=True)[0].passed is False
+
+
+def test_frechet_hoeffding_reports_closest_approach():
+    # the gap is the excess over the slack, negative on a clean run
+    result = SUITES["frechet_hoeffding"](0, evaluations=30)
+    assert result.passed and result.max_gap < 0

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from wassercop import (
@@ -11,6 +12,7 @@ from wassercop import (
     Method,
     PointMass,
     Uniform,
+    empirical_from_samples,
     w1_cdf,
     wp_lower_bound_nd,
     wp_quantile,
@@ -196,3 +198,15 @@ def test_scale_equivariance():
 def test_report_value_is_root_of_power():
     r = wp_quantile(F_RUN, G_RUN, 3)
     assert r.value == pytest.approx(r.power_value ** (1 / 3), abs=1e-12)
+
+
+def test_ten_thousand_samples_against_sorted_reference():
+    # equal-weight samples of one size: W_p^p is the mean of |sorted diffs|^p
+    rng = np.random.default_rng(3)
+    x, y = rng.normal(size=10_000), rng.exponential(size=10_000)
+    F, G = empirical_from_samples(x.tolist()), empirical_from_samples(y.tolist())
+    diff = np.abs(np.sort(x) - np.sort(y))
+    for p in (1.0, 2.0):
+        assert wp_quantile(F, G, p).power_value == pytest.approx(np.mean(diff**p), rel=1e-12)
+    assert wp_via_M(F, G, 2.0).power_value == pytest.approx(np.mean(diff**2), rel=1e-12)
+    assert w1_cdf(F, G).power_value == pytest.approx(np.mean(diff), rel=1e-12)
