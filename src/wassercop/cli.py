@@ -12,12 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 
 from .copulas import comonotone_coupling
-from .distributions import Empirical
+from .distributions import Empirical, check_order
 from .grids import GridSpec, adaptive_quadrature, uniform_grid
 from .io import ParseError, load_copula, load_distribution
 from .oracle import DiscreteMeasureND, power_cost, solve_ot
@@ -68,9 +67,11 @@ def _grid_size(text: str) -> int:
 
 
 def _order(text: str) -> float:
-    p = float(text)
-    if not (math.isfinite(p) and p >= 1):
-        raise argparse.ArgumentTypeError(f"order must be finite and >= 1, got {text!r}")
+    try:
+        p = float(text)
+        check_order(p)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"order must be finite and >= 1, got {text!r}") from None
     return p
 
 

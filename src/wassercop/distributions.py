@@ -16,8 +16,6 @@ from itertools import accumulate
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from scipy import integrate
-
 from .grids import U_CLAMP
 
 
@@ -35,6 +33,12 @@ def _check_u(u: float) -> float:
     return u
 
 
+def check_order(p: float, name: str = "p") -> None:
+    """Raise ValueError unless the order p is finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"order {name} must be finite and >= 1, got {p!r}")
+
+
 @dataclass(frozen=True)
 class MomentCertificate:
     """Finite upper estimate of the absolute moment of order p.
@@ -47,8 +51,7 @@ class MomentCertificate:
     bound: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("moment order p must be >= 1")
+        check_order(self.p)
         if not math.isfinite(self.bound):
             raise ValueError("moment bound must be finite")
 
@@ -69,8 +72,7 @@ class Distribution1D:
 
     def moment(self, p: float) -> MomentCertificate:
         """Certify the absolute moment of order p >= 1 is finite."""
-        if p < 1:
-            raise ValueError("moment order p must be >= 1")
+        check_order(p)
         return MomentCertificate(p=float(p), bound=self._abs_moment(float(p)))
 
     def cumulative_breakpoints(self) -> tuple[float, ...]:
@@ -81,20 +83,29 @@ class Distribution1D:
 def merge_atoms(atoms: Iterable[tuple[object, object]]) -> tuple[list, list[int], int]:
     """Merge duplicate locations and normalise their weights exactly.
 
-    Each weight is parsed once (Fraction reads "1/2", "0.125" or a float
-    exactly) and scaled to an integer over one common denominator. Returns
-    the sorted distinct locations, coprime numerators and their sum `total`.
+    Each distinct weight is parsed once (Fraction reads "1/2", "0.125" or a
+    float exactly; a repeated weight costs one dict lookup) and scaled to an
+    integer over one common denominator. Returns the sorted distinct
+    locations, coprime numerators and their sum `total`.
     """
-    parsed = [(loc, Fraction(w)) for loc, w in atoms]
+    # weight as given -> (numerator, denominator); a Fraction is read as is,
+    # since hashing one costs more than reading it
+    ratios: dict = {}
+    parsed = []
+    for loc, w in atoms:
+        r = w.as_integer_ratio() if type(w) is Fraction else ratios.get(w)
+        if r is None:
+            r = ratios[w] = Fraction(w).as_integer_ratio()
+        parsed.append((loc, r))
     if not parsed:
         raise ValueError("need at least one atom")
-    for _, w in parsed:
-        if w.numerator <= 0:
-            raise ValueError(f"atom weight must be positive, got {w}")
-    den = math.lcm(*{w.denominator for _, w in parsed})
+    for _, (n, d) in parsed:
+        if n <= 0:
+            raise ValueError(f"atom weight must be positive, got {Fraction(n, d)}")
+    den = math.lcm(*{d for _, (_, d) in parsed})
     merged: dict = {}
-    for loc, w in parsed:
-        merged[loc] = merged.get(loc, 0) + w.numerator * (den // w.denominator)
+    for loc, (n, d) in parsed:
+        merged[loc] = merged.get(loc, 0) + n * (den // d)
     locs = sorted(merged)
     g = math.gcd(*merged.values())
     nums = [merged[x] // g for x in locs]
@@ -240,6 +251,8 @@ class Normal(Distribution1D):
 
         def integrand(z: float) -> float:
             return abs(m + s * z) ** p * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+        import scipy.integrate as integrate
 
         value, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=1e-12, epsrel=1e-12)
         return value

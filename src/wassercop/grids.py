@@ -5,8 +5,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from scipy import integrate
-
 # Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP]; atoms carry no
 # mass at the clamp, so integrals over (0, 1) are unaffected at the tolerances
 # used anywhere in this package.
@@ -70,6 +68,8 @@ def integrate_unit(
         fine = _midpoint_sum(f, grid.n)
         return fine, abs(fine - coarse)
     if grid.kind == "adaptive":
+        import scipy.integrate as integrate
+
         pts = sorted({b for b in breakpoints if U_CLAMP < b < 1.0 - U_CLAMP})
         value, err = integrate.quad(
             f,

@@ -15,9 +15,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Sequence
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .copulas import EmpiricalCopula, discretize_joint, shared_copula_build
 from .distributions import Distribution1D, Empirical, merge_atoms
 from .wasserstein import wp_lower_bound_nd, wp_quantile, wp_shared_nd, wpq_bounds
@@ -272,6 +269,9 @@ def solve_ot(
 
 
 def _assignment_from_matrix(C: list[list[float]]) -> tuple[float, tuple[int, ...]]:
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(np.asarray(C))
     perm = [0] * len(C)
     for i, j in zip(rows, cols):

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from scipy import integrate
-
 from .copulas import CopulaSpec, expect_comonotone, merged_levels, resolve_grid
-from .distributions import Distribution1D, Empirical
+from .distributions import Distribution1D, Empirical, check_order
 from .grids import GridSpec, U_CLAMP, integrate_unit
 
 
@@ -104,6 +102,8 @@ def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
     pts = sorted(
         {x for d in (F, G) if isinstance(d, Empirical) for x in d.locations if lo < x < hi}
     )
+    import scipy.integrate as integrate
+
     value, err = integrate.quad(
         lambda x: abs(F.cdf(x) - G.cdf(x)), lo, hi,
         points=pts or None, epsabs=1e-10, epsrel=1e-10, limit=200,
@@ -127,8 +127,7 @@ def wp_quantile(
     F: Distribution1D, G: Distribution1D, p: float, grid: GridSpec | None = None
 ) -> DistanceReport:
     """W_p^p as the quantile integral int_0^1 |F^{-1}(u) - G^{-1}(u)|^p du."""
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    check_order(p)
     _gate(F, p)
     _gate(G, p)
     grid = resolve_grid(F, G, grid)
@@ -146,8 +145,7 @@ def wp_via_M(
 ) -> DistanceReport:
     """W_p^p as the double integral of |x - y|^p against the joint CDF
     min(F(x), G(y)), evaluated along the comonotone coupling."""
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    check_order(p)
     _gate(F, p)
     _gate(G, p)
     value, err = expect_comonotone(F, G, lambda x, y: abs(x - y) ** p, grid)
@@ -225,8 +223,8 @@ def wpq_bounds(
     constants give S <= W_{p,q}^p <= d^{p/q-1} S when q <= p, and the
     reversed interval when p <= q.
     """
-    if p < 1 or q < 1:
-        raise ValueError("orders p and q must be >= 1")
+    check_order(p)
+    check_order(q, "q")
     if p == q:
         raise ValueError("p = q collapses the sandwich; use wp_shared_nd instead")
     base = wp_shared_nd(C, marginsF, marginsG, p, grid)

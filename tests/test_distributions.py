@@ -100,6 +100,27 @@ class TestEmpiricalFromSamples:
         d = empirical_from_samples(list(range(7)), ["0.1"] * 7)
         assert sum(d.weights) == 1
 
+    def test_repeated_string_weights_equal_fractions(self):
+        xs = [0.5, 2.0, -1.0, 0.5, 3.0, 2.0, 4.0]
+        ws = ["1", "0.437", "1", "0.437", "1/3", "1", "0.437"]
+        a = empirical_from_samples(xs, ws)
+        b = empirical_from_samples(xs, [Fraction(w) for w in ws])
+        assert a == b and hash(a) == hash(b)
+        assert a.weights == b.weights
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (0, "atom weight must be positive, got 0"),
+            ("-1", "atom weight must be positive, got -1"),
+            (math.nan, "cannot convert NaN"),
+            ("nan", "Invalid literal for Fraction"),
+        ],
+    )
+    def test_bad_weight_rejected(self, w, message):
+        with pytest.raises(ValueError, match=message):
+            empirical_from_samples([1, 2, 3], ["1", w, "1"])
+
     def test_rejections(self):
         with pytest.raises(ValueError):
             empirical_from_samples([])

@@ -10,6 +10,7 @@ from wassercop import (
     Empirical,
     EmpiricalCopula,
     Method,
+    MomentCertificate,
     PointMass,
     Uniform,
     empirical_from_samples,
@@ -210,3 +211,23 @@ def test_ten_thousand_samples_against_sorted_reference():
         assert wp_quantile(F, G, p).power_value == pytest.approx(np.mean(diff**p), rel=1e-12)
     assert wp_via_M(F, G, 2.0).power_value == pytest.approx(np.mean(diff**2), rel=1e-12)
     assert w1_cdf(F, G).power_value == pytest.approx(np.mean(diff), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 0.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        # W_inf of this pair is 0.3; an unchecked p = inf used to return 1.0
+        lambda p: wp_quantile(Empirical([(0, 1), (0.5, 1)]), Empirical([(0.2, 1)]), p),
+        lambda p: wp_via_M(Empirical([(0, 1), (0.5, 1)]), Empirical([(0.2, 1)]), p),
+        lambda p: wpq_bounds(None, (F_RUN,), (G_RUN,), p, 1),
+        lambda p: wpq_bounds(None, (F_RUN,), (G_RUN,), 2, p),
+        lambda p: F_RUN.moment(p),
+        lambda p: MomentCertificate(p, 1.0),
+    ],
+    ids=["wp_quantile", "wp_via_M", "wpq_bounds_p", "wpq_bounds_q", "moment", "certificate"],
+)
+def test_order_must_be_finite_and_at_least_one(call, p):
+    # the order check, not the moment gate, rejects the value
+    with pytest.raises(ValueError, match="must be finite and >= 1"):
+        call(p)
