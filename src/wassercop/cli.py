@@ -171,15 +171,15 @@ def cmd_sample(args) -> int:
     merged: dict[tuple[float, float], float] = {}
     for x, y, m in pair.atoms:
         merged[(x, y)] = merged.get((x, y), 0.0) + float(m)
-    rows = [(x, y, m) for (x, y), m in sorted(merged.items())]
-    out = sys.stdout if args.output is None else open(args.output, "w", newline="")
+    rows = [("x", "y", "mass")] + [(x, y, m) for (x, y), m in sorted(merged.items())]
+    if args.output is None:
+        csv.writer(sys.stdout).writerows(rows)
+        return EXIT_OK
     try:
-        writer = csv.writer(out)
-        writer.writerow(["x", "y", "mass"])
-        writer.writerows(rows)
-    finally:
-        if args.output is not None:
-            out.close()
+        with open(args.output, "w", newline="") as out:
+            csv.writer(out).writerows(rows)
+    except OSError as exc:
+        raise ParseError(f"cannot write {args.output}: {exc}") from exc
     return EXIT_OK
 
 

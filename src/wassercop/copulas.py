@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .distributions import Distribution1D, Empirical, _check_u
 from .grids import GridSpec, adaptive_quadrature, exact_breakpoints, integrate_unit, uniform_grid
@@ -225,10 +225,32 @@ def resolve_grid(
     return grid
 
 
-def merged_levels(F: Empirical, G: Empirical) -> list[float]:
-    """Sorted union of the cumulative levels of two atomic laws; on each cell
-    between consecutive levels both quantile functions are constant."""
-    return sorted(set(F.cumulative()).union(G.cumulative()))
+def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, float, float]]:
+    """One pass over the staircases of two atomic laws.
+
+    The cells are the intervals (prev, c] between consecutive distinct
+    cumulative levels of either law; on each both quantile functions are
+    constant. Per cell, in increasing order, yields (i, j, c, c - prev):
+    the indices of the atoms of F and G whose level intervals contain the
+    cell, its right end and its mass.
+    """
+    # a sentinel above every level: both laws end at exactly 1.0
+    cf = F.cumulative() + (2.0,)
+    cg = G.cumulative() + (2.0,)
+    i = j = 0
+    a, b = cf[0], cg[0]  # the current levels cf[i] and cg[j]
+    prev = 0.0
+    while prev < 1.0:
+        c = a if a < b else b
+        yield i, j, c, c - prev
+        prev = c
+        # step past every level <= c: distinct weights may round to one level
+        while a <= c:
+            i += 1
+            a = cf[i]
+        while b <= c:
+            j += 1
+            b = cg[j]
 
 
 @dataclass(frozen=True)
@@ -252,31 +274,22 @@ def comonotone_coupling(
 ) -> ComonotonePair:
     """Couple F and G through a common uniform level.
 
-    For two atomic laws the grid is the merged set of cumulative-weight
-    breakpoints of both staircases (the north-west corner rule on sorted
-    atoms), which realizes the coupling exactly with at most
-    n_F + n_G - 1 atoms. Otherwise a grid on (0, 1) is used, by default
-    COUPLING_GRID_N midpoint cells.
+    For two atomic laws the cells are those of comonotone_cells, one pass
+    over both staircases (the north-west corner rule on sorted atoms),
+    which realizes the coupling exactly with at most n_F + n_G - 1 atoms.
+    Otherwise a grid on (0, 1) is used, by default COUPLING_GRID_N
+    midpoint cells.
     """
     resolved = resolve_grid(F, G, grid)
     if grid is None and resolved.kind == "adaptive":
         resolved = uniform_grid(COUPLING_GRID_N)
     if resolved.kind == "exact":
-        cf, cg = F.cumulative(), G.cumulative()
         xf, xg = F.locations, G.locations
-        levels = merged_levels(F, G)
-        i = j = 0
-        prev = 0.0
-        atoms: list[tuple[float, float, float]] = []
-        for c in levels:
-            # the atoms whose level intervals contain the cell (prev, c]
-            while cf[i] < c:
-                i += 1
-            while cg[j] < c:
-                j += 1
-            atoms.append((xf[i], xg[j], c - prev))
-            prev = c
-        return ComonotonePair(u_grid=tuple(levels), atoms=tuple(atoms), exact=True)
+        u_grid, atoms = [], []
+        for i, j, c, m in comonotone_cells(F, G):
+            u_grid.append(c)
+            atoms.append((xf[i], xg[j], m))
+        return ComonotonePair(u_grid=tuple(u_grid), atoms=tuple(atoms), exact=True)
     if resolved.kind == "uniform":
         n = resolved.n
         us = tuple((k + 0.5) / n for k in range(n))

@@ -8,8 +8,10 @@ forms, with the normal inverse CDF accurate to well below 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -80,36 +82,69 @@ class Distribution1D:
         return ()
 
 
-def merge_atoms(atoms: Iterable[tuple[object, object]]) -> tuple[list, list[int], int]:
+# weights of these types read out their own exact ratio; any other weight
+# (a string such as "0.125" or "1/3") is parsed by _parse_weight
+_SELF_RATIO = (int, float, Fraction)
+
+
+def _parse_weight(w: object) -> tuple[int, int]:
+    """The exact (numerator, denominator) of a weight such as "0.125" or "1/3".
+
+    A decimal string is read by Decimal, several times faster than Fraction
+    and equal to it on every string both accept. Fraction reads the rest
+    ("1/3", underscores, NaN and infinity) and raises for malformed input.
+    """
+    if type(w) is str and "_" not in w:
+        try:
+            d = Decimal(w)
+        except InvalidOperation:
+            pass
+        else:
+            if d.is_finite():
+                return d.as_integer_ratio()
+    return Fraction(w).as_integer_ratio()
+
+
+def merge_atoms(locs: Sequence, weights: Sequence) -> tuple[list, list[int], int]:
     """Merge duplicate locations and normalise their weights exactly.
 
-    Each distinct weight is parsed once (Fraction reads "1/2", "0.125" or a
-    float exactly; a repeated weight costs one dict lookup) and scaled to an
-    integer over one common denominator. Returns the sorted distinct
+    locs and weights are parallel columns, one entry per atom. Each distinct
+    weight is parsed once (a repeated one costs a dict lookup) and scaled to
+    an integer over one common denominator. One sort by location then makes
+    equal locations neighbours, which merge. Returns the sorted distinct
     locations, coprime numerators and their sum `total`.
     """
-    # weight as given -> (numerator, denominator); a Fraction is read as is,
-    # since hashing one costs more than reading it
+    if not locs:
+        raise ValueError("need at least one atom")
     ratios: dict = {}
     parsed = []
-    for loc, w in atoms:
-        r = w.as_integer_ratio() if type(w) is Fraction else ratios.get(w)
+    for w in weights:
+        r = w.as_integer_ratio() if type(w) in _SELF_RATIO else ratios.get(w)
         if r is None:
-            r = ratios[w] = Fraction(w).as_integer_ratio()
-        parsed.append((loc, r))
-    if not parsed:
-        raise ValueError("need at least one atom")
-    for _, (n, d) in parsed:
-        if n <= 0:
-            raise ValueError(f"atom weight must be positive, got {Fraction(n, d)}")
-    den = math.lcm(*{d for _, (_, d) in parsed})
-    merged: dict = {}
-    for loc, (n, d) in parsed:
-        merged[loc] = merged.get(loc, 0) + n * (den // d)
-    locs = sorted(merged)
-    g = math.gcd(*merged.values())
-    nums = [merged[x] // g for x in locs]
-    return locs, nums, sum(nums)
+            r = ratios[w] = _parse_weight(w)
+        parsed.append(r)
+    n, d = min(parsed)
+    if n <= 0:
+        raise ValueError(f"atom weight must be positive, got {Fraction(n, d)}")
+    den = math.lcm(*{d for _, d in parsed})
+    ints = [n * (den // d) for n, d in parsed]
+    order = sorted(range(len(locs)), key=locs.__getitem__)
+    xs = list(map(locs.__getitem__, order))
+    nums = list(map(ints.__getitem__, order))
+    # equal neighbours are rare: look for them at C speed before merging
+    if any(map(operator.eq, xs, xs[1:])):
+        merged_xs, merged_nums = [xs[0]], [nums[0]]
+        for x, m in zip(xs[1:], nums[1:]):
+            if x == merged_xs[-1]:
+                merged_nums[-1] += m
+            else:
+                merged_xs.append(x)
+                merged_nums.append(m)
+        xs, nums = merged_xs, merged_nums
+    g = math.gcd(*nums)
+    if g > 1:
+        nums = [m // g for m in nums]
+    return xs, nums, sum(nums)
 
 
 class Empirical(Distribution1D):
@@ -119,13 +154,19 @@ class Empirical(Distribution1D):
     kind = "empirical"
 
     def __init__(self, atoms: Iterable[tuple[float, object]]):
-        locs, nums, total = merge_atoms(
-            (_require_finite(loc, "atom location"), w) for loc, w in atoms
-        )
+        pairs = list(atoms)
+        self._build([x for x, _ in pairs], [w for _, w in pairs])
+
+    def _build(self, xs: Sequence, ws: Sequence) -> None:
+        xs = list(map(float, xs))
+        if not all(map(math.isfinite, xs)):
+            bad = next(x for x in xs if not math.isfinite(x))
+            raise ValueError(f"atom location must be finite, got {bad!r}")
+        locs, nums, total = merge_atoms(xs, ws)
         self._locs: tuple[float, ...] = tuple(locs)
         self._nums: tuple[int, ...] = tuple(nums)
         self._total = total
-        self._cum: tuple[float, ...] = tuple(c / total for c in accumulate(nums))
+        self._cum: tuple[float, ...] = tuple([c / total for c in accumulate(nums)])
 
     @property
     def locations(self) -> tuple[float, ...]:
@@ -295,4 +336,6 @@ def empirical_from_samples(xs: Sequence[float], ws: Sequence[object] | None = No
         ws = [1] * len(xs)
     if len(ws) != len(xs):
         raise ValueError("weights must match samples in length")
-    return Empirical(zip(xs, ws))
+    law = Empirical.__new__(Empirical)
+    law._build(xs, ws)
+    return law

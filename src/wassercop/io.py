@@ -13,6 +13,7 @@ from .distributions import (
     Normal,
     PointMass,
     Uniform,
+    empirical_from_samples,
 )
 
 
@@ -39,29 +40,32 @@ def distribution_from_json(obj: dict) -> Distribution1D:
     raise ParseError(f"unknown distribution kind {obj.get('kind')!r}")
 
 
+def _csv_rows(path: Path) -> list[list[str]]:
+    """The rows of a CSV file that have a nonblank cell."""
+    try:
+        with path.open(newline="") as fh:
+            return [row for row in csv.reader(fh) if any(map(str.strip, row))]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def _samples_from_csv(path: Path) -> Empirical:
-    atoms = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = _csv_rows(path)
     if not rows:
         raise ParseError(f"{path}: empty file")
-    start = 0
     try:
         float(rows[0][0])
     except ValueError:
-        start = 1  # header line `x[,w]`
-    for row in rows[start:]:
-        try:
-            x = float(row[0])
-            w = row[1].strip() if len(row) > 1 and row[1].strip() else "1"
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad sample row {row!r}") from exc
-        atoms.append((x, w))
-    if not atoms:
+        del rows[0]  # header line `x[,w]`
+    if not rows:
         raise ParseError(f"{path}: no samples")
     try:
-        return Empirical(atoms)
+        xs = [float(row[0]) for row in rows]
+    except ValueError as exc:
+        raise ParseError(f"{path}: bad sample location: {exc}") from exc
+    ws = [(row[1].strip() if len(row) > 1 else "") or "1" for row in rows]
+    try:
+        return empirical_from_samples(xs, ws)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -73,7 +77,11 @@ def load_distribution(path: str | Path) -> Distribution1D:
         raise ParseError(f"no such file: {path}")
     if path.suffix.lower() == ".json":
         try:
-            obj = json.loads(path.read_text())
+            text = path.read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
+        try:
+            obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: invalid JSON: {exc}") from exc
         return distribution_from_json(obj)
@@ -90,17 +98,14 @@ def load_copula(path: str | Path, ranks_auto: bool = False) -> EmpiricalCopula:
     if not path.exists():
         raise ParseError(f"no such file: {path}")
     rows = []
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            cells = [c.strip() for c in row if c.strip()]
-            if not cells:
+    for row in _csv_rows(path):
+        cells = [c.strip() for c in row if c.strip()]
+        try:
+            rows.append(tuple(float(c) for c in cells))
+        except ValueError:
+            if not rows:  # header line
                 continue
-            try:
-                rows.append(tuple(float(c) for c in cells))
-            except ValueError:
-                if not rows:  # header line
-                    continue
-                raise ParseError(f"{path}: bad copula row {row!r}")
+            raise ParseError(f"{path}: bad copula row {row!r}")
     if not rows:
         raise ParseError(f"{path}: no copula rows")
     try:

@@ -27,7 +27,14 @@ Cost = Callable[[tuple[float, ...], tuple[float, ...]], float]
 
 def power_cost(p: float) -> Cost:
     """|x - y|^p summed over coordinates: the p-norm cost to the p-th power."""
-    return lambda x, y: math.fsum(abs(a - b) ** p for a, b in zip(x, y))
+
+    def cost(x, y):
+        try:
+            return math.fsum(abs(a - b) ** p for a, b in zip(x, y))
+        except OverflowError as exc:
+            raise OverflowError(f"the cost |x - y|^p overflows a float at p = {p:g}") from exc
+
+    return cost
 
 
 def norm_cost(p: float, q: float) -> Cost:
@@ -43,15 +50,16 @@ class DiscreteMeasureND:
     """Finitely supported probability measure on R^d with rational masses."""
 
     def __init__(self, atoms: Sequence[tuple[Sequence[float], object]]):
-        checked = []
+        checked, masses = [], []
         for loc, mass in atoms:
             loc = tuple(float(c) for c in loc)
             if any(not math.isfinite(c) for c in loc):
                 raise ValueError("atom locations must be finite")
-            if checked and len(loc) != len(checked[0][0]):
+            if checked and len(loc) != len(checked[0]):
                 raise ValueError("all atoms must share a dimension")
-            checked.append((loc, mass))
-        locs, nums, total = merge_atoms(checked)
+            checked.append(loc)
+            masses.append(mass)
+        locs, nums, total = merge_atoms(checked, masses)
         self.locations: tuple[tuple[float, ...], ...] = tuple(locs)
         self.masses: tuple[Fraction, ...] = tuple(Fraction(n, total) for n in nums)
         self.dim = len(locs[0])

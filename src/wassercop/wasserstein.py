@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .copulas import CopulaSpec, expect_comonotone, merged_levels, resolve_grid
+from .copulas import CopulaSpec, comonotone_cells, expect_comonotone, resolve_grid
 from .distributions import Distribution1D, Empirical, check_order
 from .grids import GridSpec, U_CLAMP, integrate_unit
 
@@ -75,7 +75,14 @@ def _gate(d: Distribution1D, p: float) -> None:
         raise MomentGateError(f"finite moment of order {p:g} required: {reason}") from exc
 
 
+def _overflow(p: float) -> OverflowError:
+    """The error for a W_p^p, or one of its terms |x - y|^p, beyond a float."""
+    return OverflowError(f"W_p^p overflows a float at p = {p:g}")
+
+
 def _report(p: float, power: float, method: Method, err: float, **kw) -> DistanceReport:
+    if power == math.inf:  # e.g. x - y overflows for atoms at 1e308 and -1e308
+        raise _overflow(p)
     power = max(power, 0.0)
     return DistanceReport(
         p=float(p),
@@ -92,11 +99,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
     _gate(F, 1.0)
     _gate(G, 1.0)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
-        xs = sorted(set(F.locations) | set(G.locations))
-        total = math.fsum(
-            abs(F.cdf(xs[k]) - G.cdf(xs[k])) * (xs[k + 1] - xs[k]) for k in range(len(xs) - 1)
-        )
-        return _report(1.0, total, Method.CDF_INTEGRAL, 0.0)
+        return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
     lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
     hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
     pts = sorted(
@@ -111,16 +114,36 @@ def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
 
 
-def _wp_power_empirical(F: Empirical, G: Empirical, p: float) -> float:
-    # quantiles are constant on each cell between merged levels, so
-    # evaluating them at cell midpoints makes the sum exact
+def _w1_cdf_empirical(F: Empirical, G: Empirical) -> float:
+    # one pass over both sorted location lists: between consecutive merged
+    # locations x < x' both distribution functions are constant
+    xf = F.locations + (math.inf,)  # a sentinel past every finite location
+    xg = G.locations + (math.inf,)
+    cf, cg = F.cumulative(), G.cumulative()
+    i = j = 0
+    u, v = xf[0], xg[0]  # the next locations xf[i] and xg[j]
+    a = b = 0.0  # F(x) and G(x)
+    x = u if u < v else v
     terms = []
-    prev = 0.0
-    for c in merged_levels(F, G):
-        u = (prev + c) / 2
-        terms.append((c - prev) * abs(F.quantile(u) - G.quantile(u)) ** p)
-        prev = c
-    return math.fsum(terms)
+    while True:
+        if u == x:
+            a = cf[i]
+            i += 1
+            u = xf[i]
+        if v == x:
+            b = cg[j]
+            j += 1
+            v = xg[j]
+        nxt = u if u < v else v
+        if nxt == math.inf:
+            return math.fsum(terms)
+        terms.append(abs(a - b) * (nxt - x))
+        x = nxt
+
+
+def _wp_power_empirical(F: Empirical, G: Empirical, p: float) -> float:
+    xf, xg = F.locations, G.locations
+    return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, _, m in comonotone_cells(F, G)])
 
 
 def wp_quantile(
@@ -131,12 +154,16 @@ def wp_quantile(
     _gate(F, p)
     _gate(G, p)
     grid = resolve_grid(F, G, grid)
-    if grid.kind == "exact":
-        return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
-    breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
-    value, err = integrate_unit(
-        lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
-    )
+    try:
+        if grid.kind == "exact":
+            value, err = _wp_power_empirical(F, G, p), 0.0
+        else:
+            breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
+            value, err = integrate_unit(
+                lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
+            )
+    except OverflowError as exc:
+        raise _overflow(p) from exc
     return _report(p, value, Method.QUANTILE_INTEGRAL, err)
 
 
@@ -148,7 +175,10 @@ def wp_via_M(
     check_order(p)
     _gate(F, p)
     _gate(G, p)
-    value, err = expect_comonotone(F, G, lambda x, y: abs(x - y) ** p, grid)
+    try:
+        value, err = expect_comonotone(F, G, lambda x, y: abs(x - y) ** p, grid)
+    except OverflowError as exc:
+        raise _overflow(p) from exc
     return _report(p, value, Method.COMONOTONE_COPULA_INTEGRAL, err)
 
 

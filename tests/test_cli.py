@@ -242,3 +242,81 @@ class TestOracle:
         r = run_cli("oracle", f, g, "--p", "2", "--atom-cap", "1")
         assert r.returncode == 4
         assert "atom cap" in r.stderr
+
+
+class TestFileFailures:
+    """In process through cli.main: a file that cannot be read or written is
+    a usage error (exit 2) with one `error:` line, not a traceback."""
+
+    def _one_error_line(self, capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
+
+    def test_directory_as_input(self, running_pair, tmp_path, capsys):
+        assert main(["compute", str(tmp_path), running_pair[0], "--p", "2"]) == 2
+        assert "Is a directory" in self._one_error_line(capsys)
+
+    def test_unwritable_sample_output(self, running_pair, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sample", *running_pair, "-o", str(out)]) == 2
+        assert "cannot write" in self._one_error_line(capsys)
+
+    def test_non_utf8_csv(self, running_pair, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"x,w\n\xff\xfe,1\n")
+        assert main(["compute", str(bad), running_pair[0], "--p", "2"]) == 2
+        assert "can't decode" in self._one_error_line(capsys)
+        assert main(["bounds", "--margins-f", running_pair[0], "--margins-g", running_pair[1],
+                     "--copula", str(bad), "--p", "2", "--q", "1"]) == 2
+        assert "can't decode" in self._one_error_line(capsys)
+
+    def test_csv_field_over_the_reader_limit(self, running_pair, tmp_path, capsys):
+        bad = tmp_path / "long.csv"
+        bad.write_text("x,w\n" + "1" * 200_000 + ",1\n")
+        assert main(["compute", str(bad), running_pair[0], "--p", "2"]) == 2
+        assert "field larger than field limit" in self._one_error_line(capsys)
+
+
+class TestOverflow:
+    """|0.9 - (-0.9)|^2000 overflows a float although both moments are tiny:
+    exit 4 with the cause named."""
+
+    @pytest.fixture
+    def far_apart(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"kind": "empirical", "atoms": [[0.9, "1"]]}))
+        b.write_text(json.dumps({"kind": "empirical", "atoms": [[-0.9, "1"]]}))
+        return str(a), str(b)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--method", "quantile"],
+            ["compute", "--method", "via-m"],
+            ["oracle"],
+        ],
+        ids=["quantile", "via-m", "oracle"],
+    )
+    def test_named_overflow_exit_4(self, far_apart, argv, capsys):
+        assert main([*argv, *far_apart, "--p", "2000"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "overflows a float at p = 2000" in captured.err
+
+    @pytest.mark.parametrize("method", ["quantile", "cdf"])
+    def test_infinite_distance_exit_4(self, tmp_path, method, capsys):
+        # 1e308 - (-1e308) is inf without any exception; the value would
+        # print as the non-JSON token Infinity
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"kind": "empirical", "atoms": [[1e308, "1"]]}))
+        b.write_text(json.dumps({"kind": "empirical", "atoms": [[-1e308, "1"]]}))
+        assert main(["compute", str(a), str(b), "--p", "1", "--method", method]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows a float at p = 1" in captured.err
