@@ -271,6 +271,11 @@ def main(argv: list[str] | None = None) -> int:
     except MomentGateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MOMENT
+    except OverflowError as exc:
+        # a term |x - y|^p, or their sum W_p^p, beyond the float range
+        cause = f"W_p^p overflows a float at p = {args.p:g}" if "p" in args else exc
+        print(f"error: {cause}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

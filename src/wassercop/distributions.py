@@ -11,7 +11,6 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -83,26 +82,8 @@ class Distribution1D:
 
 
 # weights of these types read out their own exact ratio; any other weight
-# (a string such as "0.125" or "1/3") is parsed by _parse_weight
+# (a string such as "0.125" or "1/3") is parsed by Fraction
 _SELF_RATIO = (int, float, Fraction)
-
-
-def _parse_weight(w: object) -> tuple[int, int]:
-    """The exact (numerator, denominator) of a weight such as "0.125" or "1/3".
-
-    A decimal string is read by Decimal, several times faster than Fraction
-    and equal to it on every string both accept. Fraction reads the rest
-    ("1/3", underscores, NaN and infinity) and raises for malformed input.
-    """
-    if type(w) is str and "_" not in w:
-        try:
-            d = Decimal(w)
-        except InvalidOperation:
-            pass
-        else:
-            if d.is_finite():
-                return d.as_integer_ratio()
-    return Fraction(w).as_integer_ratio()
 
 
 def merge_atoms(locs: Sequence, weights: Sequence) -> tuple[list, list[int], int]:
@@ -121,7 +102,7 @@ def merge_atoms(locs: Sequence, weights: Sequence) -> tuple[list, list[int], int
     for w in weights:
         r = w.as_integer_ratio() if type(w) in _SELF_RATIO else ratios.get(w)
         if r is None:
-            r = ratios[w] = _parse_weight(w)
+            r = ratios[w] = Fraction(w).as_integer_ratio()
         parsed.append(r)
     n, d = min(parsed)
     if n <= 0:

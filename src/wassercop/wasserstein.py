@@ -75,14 +75,9 @@ def _gate(d: Distribution1D, p: float) -> None:
         raise MomentGateError(f"finite moment of order {p:g} required: {reason}") from exc
 
 
-def _overflow(p: float) -> OverflowError:
-    """The error for a W_p^p, or one of its terms |x - y|^p, beyond a float."""
-    return OverflowError(f"W_p^p overflows a float at p = {p:g}")
-
-
 def _report(p: float, power: float, method: Method, err: float, **kw) -> DistanceReport:
-    if power == math.inf:  # e.g. x - y overflows for atoms at 1e308 and -1e308
-        raise _overflow(p)
+    if not math.isfinite(power):  # e.g. x - y overflows for atoms at 1e308 and -1e308
+        raise OverflowError(f"W_p^p = {power} is not a finite float")
     power = max(power, 0.0)
     return DistanceReport(
         p=float(p),
@@ -154,16 +149,12 @@ def wp_quantile(
     _gate(F, p)
     _gate(G, p)
     grid = resolve_grid(F, G, grid)
-    try:
-        if grid.kind == "exact":
-            value, err = _wp_power_empirical(F, G, p), 0.0
-        else:
-            breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
-            value, err = integrate_unit(
-                lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
-            )
-    except OverflowError as exc:
-        raise _overflow(p) from exc
+    if grid.kind == "exact":
+        return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
+    breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
+    value, err = integrate_unit(
+        lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
+    )
     return _report(p, value, Method.QUANTILE_INTEGRAL, err)
 
 
@@ -175,10 +166,7 @@ def wp_via_M(
     check_order(p)
     _gate(F, p)
     _gate(G, p)
-    try:
-        value, err = expect_comonotone(F, G, lambda x, y: abs(x - y) ** p, grid)
-    except OverflowError as exc:
-        raise _overflow(p) from exc
+    value, err = expect_comonotone(F, G, lambda x, y: abs(x - y) ** p, grid)
     return _report(p, value, Method.COMONOTONE_COPULA_INTEGRAL, err)
 
 

@@ -309,13 +309,22 @@ class TestOverflow:
         assert "overflows a float at p = 2000" in captured.err
 
     @pytest.mark.parametrize("method", ["quantile", "cdf"])
-    def test_infinite_distance_exit_4(self, tmp_path, method, capsys):
-        # 1e308 - (-1e308) is inf without any exception; the value would
-        # print as the non-JSON token Infinity
+    @pytest.mark.parametrize(
+        "atoms_f, atoms_g",
+        [
+            # 1e308 - (-1e308) is inf without any exception; the value would
+            # print as the non-JSON token Infinity
+            ([[1e308, "1"]], [[-1e308, "1"]]),
+            # every term is finite but their fsum overflows
+            ([[-1e308, "0.999"], [0.0, "0.001"]], [[1e308, "1"]]),
+        ],
+        ids=["infinite-term", "overflowing-sum"],
+    )
+    def test_infinite_distance_exit_4(self, tmp_path, atoms_f, atoms_g, method, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
-        a.write_text(json.dumps({"kind": "empirical", "atoms": [[1e308, "1"]]}))
-        b.write_text(json.dumps({"kind": "empirical", "atoms": [[-1e308, "1"]]}))
+        a.write_text(json.dumps({"kind": "empirical", "atoms": atoms_f}))
+        b.write_text(json.dumps({"kind": "empirical", "atoms": atoms_g}))
         assert main(["compute", str(a), str(b), "--p", "1", "--method", method]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -16,7 +16,6 @@ from wassercop import (
     Uniform,
     empirical_from_samples,
 )
-from wassercop.distributions import _parse_weight
 
 HALF = Fraction(1, 2)
 TWO_POINT = Empirical([(0, HALF), (1, HALF)])
@@ -117,23 +116,11 @@ class TestEmpiricalFromSamples:
             (math.nan, "cannot convert NaN"),
             ("nan", "Invalid literal for Fraction"),
             ("inf", "Invalid literal for Fraction"),
-            ("0_", "Invalid literal for Fraction"),
-            ("0x10", "Invalid literal for Fraction"),
         ],
     )
     def test_bad_weight_rejected(self, w, message):
         with pytest.raises(ValueError, match=message):
             empirical_from_samples([1, 2, 3], ["1", w, "1"])
-
-    @pytest.mark.parametrize(
-        "w", ["1.", ".5", "5e-3", "1E2", " 0.5 ", "+0.25", "1_0.5", "1e1_0", "\u0661.\u0665", "2/6"]
-    )
-    def test_string_weight_reads_as_fraction(self, w):
-        assert _parse_weight(w) == Fraction(w).as_integer_ratio()
-
-    @given(st.decimals(min_value=-10**30, max_value=10**30, allow_nan=False, allow_infinity=False))
-    def test_decimal_string_weight_reads_as_fraction(self, d):
-        assert _parse_weight(str(d)) == Fraction(str(d)).as_integer_ratio()
 
     def test_rejections(self):
         with pytest.raises(ValueError):
