@@ -307,16 +307,19 @@ def expect_comonotone(
 ) -> tuple[float, float]:
     """E[g(X, Y)] under the comonotone coupling, as the integral
     of g(F^{-1}(u), G^{-1}(u)) over (0, 1). Returns (value, error_estimate);
-    the value is an exact weighted sum when both laws are atomic.
+    when both laws are atomic the value is an exact weighted sum over the
+    cells of comonotone_cells and the error estimate is 0.0.
     """
     grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
-        pair = comonotone_coupling(F, G, grid)
+        xf, xg = F.locations, G.locations
         terms = []
-        for x, y, m in pair.atoms:
-            v = g(x, y)
+        for i, j, _, m in comonotone_cells(F, G):
+            v = g(xf[i], xg[j])
             if not math.isfinite(v):
-                raise ValueError(f"integrand is not finite at ({x}, {y})")
+                # an infinite value of finite atoms is an overflow
+                error = ValueError if math.isnan(v) else OverflowError
+                raise error(f"integrand is not finite at ({xf[i]}, {xg[j]})")
             terms.append(m * v)
         return math.fsum(terms), 0.0
     breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()

@@ -145,8 +145,8 @@ class Empirical(Distribution1D):
             raise ValueError(f"atom location must be finite, got {bad!r}")
         locs, nums, total = merge_atoms(xs, ws)
         self._locs: tuple[float, ...] = tuple(locs)
-        self._nums: tuple[int, ...] = tuple(nums)
-        self._total = total
+        self.nums: tuple[int, ...] = tuple(nums)
+        self.total = total
         self._cum: tuple[float, ...] = tuple([c / total for c in accumulate(nums)])
 
     @property
@@ -155,12 +155,12 @@ class Empirical(Distribution1D):
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
-        """Exact weights, built on first use (the oracle reads them)."""
-        return tuple(Fraction(n, self._total) for n in self._nums)
+        """Exact weights nums / total, built on first use."""
+        return tuple(Fraction(n, self.total) for n in self.nums)
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        return tuple((x, n / self._total) for x, n in zip(self._locs, self._nums))
+        return tuple((x, n / self.total) for x, n in zip(self._locs, self.nums))
 
     def cumulative(self) -> tuple[float, ...]:
         return self._cum
@@ -179,40 +179,20 @@ class Empirical(Distribution1D):
         return self._locs[bisect_left(self._cum, _check_u(u))]
 
     def _abs_moment(self, p: float) -> float:
-        return math.fsum(n / self._total * abs(x) ** p for x, n in zip(self._locs, self._nums))
+        return math.fsum(n / self.total * abs(x) ** p for x, n in zip(self._locs, self.nums))
 
     def __eq__(self, other):
         return (
             isinstance(other, Empirical)
             and self._locs == other._locs
-            and self._nums == other._nums
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self._locs, self._nums))
+        return hash((self._locs, self.nums))
 
     def __repr__(self):
         return f"Empirical({list(self.atoms)})"
-
-
-@dataclass(frozen=True)
-class PointMass(Distribution1D):
-    location: float
-    kind = "point_mass"
-
-    def __post_init__(self):
-        _require_finite(self.location, "point mass location")
-
-    def cdf(self, x: float) -> float:
-        x = _require_finite(x, "cdf argument")
-        return 1.0 if x >= self.location else 0.0
-
-    def quantile(self, u: float) -> float:
-        _check_u(u)
-        return self.location
-
-    def _abs_moment(self, p: float) -> float:
-        return abs(self.location) ** p
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from .distributions import (
     Empirical,
     Exponential,
     Normal,
-    PointMass,
     Uniform,
     empirical_from_samples,
 )
@@ -28,7 +27,8 @@ def distribution_from_json(obj: dict) -> Distribution1D:
             # weights stay as strings so decimal inputs normalize exactly
             return Empirical((float(x), str(w)) for x, w in obj["atoms"])
         if kind == "point_mass":
-            return PointMass(float(obj["location"]))
+            # a one-atom law: it takes the exact routes and the oracle
+            return Empirical([(float(obj["location"]), 1)])
         if kind == "uniform":
             return Uniform(float(obj["a"]), float(obj["b"]))
         if kind == "normal":

@@ -1,17 +1,19 @@
 """Exact optimal transport on finitely supported measures.
 
 This is a correctness instrument, not a performance solver: masses are kept
-as exact rationals so couplings satisfy their margin constraints exactly,
-and the only floating-point error in a reported value is cost evaluation.
-The solver is a transportation simplex with Bland's rule (deterministic,
-terminates), with an assignment fast path for equal-count uniform-mass
-instances and an exhaustive permutation oracle for tiny ones.
+exact, as integer numerators over a common denominator, so couplings satisfy
+their margin constraints exactly, and the only floating-point error in a
+reported value is cost evaluation. The solver is a transportation simplex
+with Bland's rule (deterministic, terminates) that pivots on those integers,
+with an assignment fast path for equal-count uniform-mass instances and an
+exhaustive permutation oracle for tiny ones.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -40,7 +42,8 @@ def norm_cost(p: float, q: float) -> Cost:
 
 
 class DiscreteMeasureND:
-    """Finitely supported probability measure on R^d with rational masses."""
+    """Finitely supported probability measure on R^d with rational masses:
+    sorted atoms with coprime integer numerators nums over their sum total."""
 
     def __init__(self, atoms: Sequence[tuple[Sequence[float], object]]):
         checked, masses = [], []
@@ -54,16 +57,22 @@ class DiscreteMeasureND:
             masses.append(mass)
         locs, nums, total = merge_atoms(checked, masses)
         self.locations: tuple[tuple[float, ...], ...] = tuple(locs)
-        self.masses: tuple[Fraction, ...] = tuple(Fraction(n, total) for n in nums)
+        self.nums: tuple[int, ...] = tuple(nums)
+        self.total = total
         self.dim = len(locs[0])
+
+    @cached_property
+    def masses(self) -> tuple[Fraction, ...]:
+        """Exact masses nums / total, built on first use."""
+        return tuple(Fraction(n, self.total) for n in self.nums)
 
     @classmethod
     def from_empirical(cls, d: Empirical) -> "DiscreteMeasureND":
-        return cls([((x,), w) for x, w in zip(d.locations, d.weights)])
+        return cls([((x,), n) for x, n in zip(d.locations, d.nums)])
 
     def margin(self, i: int) -> Empirical:
         """i-th coordinate margin as a one-dimensional empirical law."""
-        return Empirical((loc[i], m) for loc, m in zip(self.locations, self.masses))
+        return Empirical((loc[i], n) for loc, n in zip(self.locations, self.nums))
 
     def __len__(self):
         return len(self.locations)
@@ -105,21 +114,21 @@ def _cost_matrix(mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: Cost) -> li
         for y in nu.locations:
             c = cost(x, y)
             if not math.isfinite(c):
-                raise ValueError(f"cost is not finite at ({x}, {y})")
+                # an infinite cost of finite atoms is an overflow
+                error = ValueError if math.isnan(c) else OverflowError
+                raise error(f"cost is not finite at ({x}, {y})")
             r.append(c)
         rows.append(r)
     return rows
 
 
-def _northwest_corner(
-    a: Sequence[Fraction], b: Sequence[Fraction]
-) -> dict[tuple[int, int], Fraction]:
+def _northwest_corner(a: Sequence[int], b: Sequence[int]) -> dict[tuple[int, int], int]:
     # walks from (0,0) to (m-1,n-1) one step at a time, so exactly
     # m + n - 1 basic cells (some possibly zero: degenerate basis)
     rem_a, rem_b = list(a), list(b)
     m, n = len(a), len(b)
     i = j = 0
-    basis: dict[tuple[int, int], Fraction] = {}
+    basis: dict[tuple[int, int], int] = {}
     while True:
         t = min(rem_a[i], rem_b[j])
         basis[(i, j)] = t
@@ -133,78 +142,36 @@ def _northwest_corner(
             j += 1
 
 
-def _tree_duals(
-    basis: dict[tuple[int, int], Fraction], cost: list[list[float]], m: int, n: int
-) -> tuple[list[float], list[float]]:
-    rows_adj: list[list[int]] = [[] for _ in range(m)]
-    cols_adj: list[list[int]] = [[] for _ in range(n)]
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    u = [math.nan] * m
-    v = [math.nan] * n
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        side, k = stack.pop()
-        if side == "r":
-            for j in rows_adj[k]:
-                if math.isnan(v[j]):
-                    v[j] = cost[k][j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in cols_adj[k]:
-                if math.isnan(u[i]):
-                    u[i] = cost[i][k] - v[k]
-                    stack.append(("r", i))
-    return u, v
-
-
-def _basis_cycle(
-    basis: dict[tuple[int, int], Fraction], enter: tuple[int, int], m: int, n: int
-) -> list[tuple[int, int]]:
-    # unique path in the basis tree from row node enter[0] to column node
-    # enter[1]; together with the entering cell it closes the pivot cycle
-    rows_adj: dict[int, list[int]] = {i: [] for i in range(m)}
-    cols_adj: dict[int, list[int]] = {j: [] for j in range(n)}
-    for i, j in basis:
-        rows_adj[i].append(j)
-        cols_adj[j].append(i)
-    start, goal = ("r", enter[0]), ("c", enter[1])
-    parent: dict[tuple[str, int], tuple[str, int]] = {start: start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        side, k = node
-        nbrs = rows_adj[k] if side == "r" else cols_adj[k]
-        other = "c" if side == "r" else "r"
-        for nb in nbrs:
-            nxt = (other, nb)
-            if nxt not in parent:
-                parent[nxt] = node
-                stack.append(nxt)
-    path_nodes = [goal]
-    while path_nodes[-1] != start:
-        path_nodes.append(parent[path_nodes[-1]])
-    path_nodes.reverse()
-    cells = []
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        (sa, ka), (sb, kb) = a, b
-        cells.append((ka, kb) if sa == "r" else (kb, ka))
-    return cells
-
-
 def _transportation_simplex(
-    a: Sequence[Fraction], b: Sequence[Fraction], cost: list[list[float]]
-) -> dict[tuple[int, int], Fraction]:
+    a: Sequence[int], b: Sequence[int], cost: list[list[float]]
+) -> dict[tuple[int, int], int]:
+    """Optimal basis for integer supplies a and demands b of equal sum.
+
+    The basis is a spanning tree on m row nodes 0..m-1 and n column nodes
+    m..m+n-1. Each pivot walks it once from row 0 for the duals (u[i] is
+    pot[i], v[j] is pot[m + j]) and each node's parent and depth.
+    """
     m, n = len(a), len(b)
     basis = _northwest_corner(a, b)
+    adj: list[list[int]] = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
     scale = max(1.0, max(abs(c) for row in cost for c in row))
     tol = 1e-12 * scale
     for _ in range(_MAX_PIVOTS):
-        u, v = _tree_duals(basis, cost, m, n)
+        pot = [0.0] * (m + n)
+        parent = [0] * (m + n)
+        depth = [0] * (m + n)
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            for nb in adj[k]:
+                if nb != parent[k]:
+                    parent[nb], depth[nb] = k, depth[k] + 1
+                    pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
+                    stack.append(nb)
+        u, v = pot[:m], pot[m:]
         enter = None
         for i in range(m):  # Bland: first improving cell in row-major order
             for j in range(n):
@@ -215,26 +182,38 @@ def _transportation_simplex(
                 break
         if enter is None:
             return basis
-        path = _basis_cycle(basis, enter, m, n)
+        # the tree path from row enter[0] up to the common ancestor and down
+        # to column enter[1]; with the entering cell it closes the pivot cycle
+        up, down = [], []
+        s, t = enter[0], m + enter[1]
+        while s != t:
+            if depth[s] >= depth[t]:
+                up.append(s)
+                s = parent[s]
+            else:
+                down.append(t)
+                t = parent[t]
+        nodes = up + [s] + down[::-1]
+        path = [(x, y - m) if x < m else (y, x - m) for x, y in zip(nodes, nodes[1:])]
         # entering cell takes +theta; signs alternate along the path,
         # starting with - on the edge sharing the entering row
         minus = path[0::2]
         theta = min(basis[c] for c in minus)
         leave = min(c for c in minus if basis[c] == theta)
-        basis[enter] = Fraction(0)
         for k, c in enumerate(path):
             basis[c] += theta if k % 2 else -theta
-        basis[enter] += theta
+        basis[enter] = theta
         del basis[leave]
+        adj[enter[0]].append(m + enter[1])
+        adj[m + enter[1]].append(enter[0])
+        adj[leave[0]].remove(m + leave[1])
+        adj[m + leave[1]].remove(leave[0])
     raise RuntimeError("transportation simplex failed to terminate")
 
 
 def _equal_uniform(mu: DiscreteMeasureND, nu: DiscreteMeasureND) -> bool:
-    n = len(mu)
-    if len(nu) != n:
-        return False
-    w = Fraction(1, n)
-    return all(m == w for m in mu.masses) and all(m == w for m in nu.masses)
+    # coprime numerators are all equal only when all are 1
+    return len(mu) == len(nu) and all(n == 1 for n in mu.nums + nu.nums)
 
 
 def solve_ot(
@@ -259,9 +238,13 @@ def solve_ot(
         w = Fraction(1, len(mu))
         entries = tuple((i, j, w) for i, j in enumerate(perm))
     else:
-        basis = _transportation_simplex(mu.masses, nu.masses, C)
+        # pivot on integers: both measures scaled to the common denominator L
+        L = math.lcm(mu.total, nu.total)
+        basis = _transportation_simplex(
+            [k * (L // mu.total) for k in mu.nums], [k * (L // nu.total) for k in nu.nums], C
+        )
         entries = tuple(
-            (i, j, m) for (i, j), m in sorted(basis.items()) if m > 0
+            (i, j, Fraction(k, L)) for (i, j), k in sorted(basis.items()) if k > 0
         )
     value = math.fsum(float(m) * C[i][j] for i, j, m in entries)
     coupling = DiscreteCoupling(entries=entries, source=mu, target=nu)

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassercop.cli import main
 
@@ -23,6 +27,15 @@ def running_pair(tmp_path):
     f.write_text(json.dumps({"kind": "empirical", "atoms": [[0, "0.5"], [1, "0.5"]]}))
     g.write_text(json.dumps({"kind": "empirical", "atoms": [[0, "0.25"], [2, "0.75"]]}))
     return str(f), str(g)
+
+
+@pytest.fixture
+def point_masses(tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    a.write_text(json.dumps({"kind": "point_mass", "location": 0}))
+    b.write_text(json.dumps({"kind": "point_mass", "location": 3}))
+    return str(a), str(b)
 
 
 @pytest.fixture
@@ -77,6 +90,14 @@ class TestCompute:
         a = run_cli("compute", "--p", "2", f, g)
         b = run_cli("compute", "--p", "2", f, g)
         assert a.stdout == b.stdout
+
+    @pytest.mark.parametrize("method, p", [("quantile", "2"), ("via-m", "2"), ("cdf", "1")])
+    def test_point_masses_exact(self, point_masses, method, p, capsys):
+        # a point mass is a one-atom law, so every route is an exact sum
+        assert main(["compute", *point_masses, "--p", p, "--method", method]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["value"] == 3.0
+        assert out["error_estimate"] == 0.0
 
     def test_parse_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -218,12 +239,8 @@ class TestSample:
             x, y, _ = row.split(",")
             assert x == y
 
-    def test_point_masses(self, tmp_path):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps({"kind": "point_mass", "location": 0}))
-        b.write_text(json.dumps({"kind": "point_mass", "location": 3}))
-        r = run_cli("sample", str(a), str(b))
+    def test_point_masses(self, point_masses):
+        r = run_cli("sample", *point_masses)
         rows = r.stdout.strip().splitlines()[1:]
         assert len(rows) == 1
 
@@ -236,6 +253,12 @@ class TestOracle:
         assert out["power_value"] == pytest.approx(1.5, abs=1e-12)
         total = sum(e["mass"] for e in out["entries"])
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_point_masses(self, point_masses, capsys):
+        assert main(["oracle", *point_masses, "--p", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["power_value"] == 9.0 and out["value"] == 3.0
+        assert out["entries"] == [{"i": 0, "j": 0, "mass": 1.0}]
 
     def test_atom_cap_exit_4(self, running_pair):
         f, g = running_pair
@@ -308,7 +331,16 @@ class TestOverflow:
         assert captured.err.startswith("error: ")
         assert "overflows a float at p = 2000" in captured.err
 
-    @pytest.mark.parametrize("method", ["quantile", "cdf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--method", "quantile"],
+            ["compute", "--method", "cdf"],
+            ["compute", "--method", "via-m"],
+            ["oracle"],
+        ],
+        ids=["quantile", "cdf", "via-m", "oracle"],
+    )
     @pytest.mark.parametrize(
         "atoms_f, atoms_g",
         [
@@ -320,12 +352,101 @@ class TestOverflow:
         ],
         ids=["infinite-term", "overflowing-sum"],
     )
-    def test_infinite_distance_exit_4(self, tmp_path, atoms_f, atoms_g, method, capsys):
+    def test_infinite_distance_exit_4(self, tmp_path, atoms_f, atoms_g, argv, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         a.write_text(json.dumps({"kind": "empirical", "atoms": atoms_f}))
         b.write_text(json.dumps({"kind": "empirical", "atoms": atoms_g}))
-        assert main(["compute", str(a), str(b), "--p", "1", "--method", method]) == 4
+        assert main([*argv, str(a), str(b), "--p", "1"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "overflows a float at p = 1" in captured.err
+        assert captured.err == "error: W_p^p overflows a float at p = 1\n"
+
+
+# Files for the exit-code table: name -> contents (None: nothing written;
+# "directory" is made a directory)
+TABLE_FILES = {
+    "valid": '{"kind": "empirical", "atoms": [[0, "0.5"], [1, "0.5"]]}',
+    "csv": "x,w\n0,1\n2,3\n",
+    "point_mass": '{"kind": "point_mass", "location": 3}',
+    # W_1 of these two is infinite, and either one's second moment overflows
+    "far_pos": '{"kind": "empirical", "atoms": [[1e308, "1"]]}',
+    "far_neg": '{"kind": "empirical", "atoms": [[-1e308, "1"]]}',
+    "missing": None,
+    "directory": None,
+    "malformed": "{nope",
+    "non_utf8": b"x,w\n\xff\xfe,1\n",
+}
+UNREADABLE = {"missing", "directory", "malformed", "non_utf8"}
+FAR = {"far_pos", "far_neg"}
+
+
+def table_exit_code(command: str, method: str, order: str, f: str, g: str) -> int:
+    """The exit code cli's docstring table gives: 2 for a bad order or an
+    unreadable file, 3 when a moment overflows (the gate), 4 when W_p^p or
+    an oracle cost does, else 0."""
+    if command != "sample" and order not in ("1", "2"):
+        return 2
+    if {f, g} & UNREADABLE:
+        return 2
+    if command == "sample":
+        return 0
+    if command == "compute" and method == "cdf" and order != "1":
+        return 2
+    far = {f, g} & FAR
+    if command == "oracle":
+        # no moment gate: every cost |x - y|^p must be a finite float
+        if far == FAR or (far and {f, g} - FAR and order == "2"):
+            return 4
+        return 0
+    if far and order == "2":
+        return 3
+    return 4 if far == FAR else 0
+
+
+class TestExitCodeTable:
+    """In process through cli.main: generated commands, orders and files
+    get the exit code of the table in cli's docstring, and a nonzero exit
+    prints one `error:` line and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("table")
+        paths = {}
+        for name, text in TABLE_FILES.items():
+            path = root / (name + (".csv" if name in ("csv", "non_utf8") else ".json"))
+            if name == "directory":
+                path.mkdir()
+            elif isinstance(text, bytes):
+                path.write_bytes(text)
+            elif text is not None:
+                path.write_text(text)
+            paths[name] = str(path)
+        return paths
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["compute", "bounds", "sample", "oracle"]),
+        method=st.sampled_from(["quantile", "cdf", "via-m"]),
+        order=st.sampled_from(["1", "2", "nan", "0.5", "abc"]),
+        f=st.sampled_from(sorted(TABLE_FILES)),
+        g=st.sampled_from(sorted(TABLE_FILES)),
+    )
+    def test_exit_code_matches_table(self, files, command, method, order, f, g):
+        argv = {
+            "compute": ["compute", files[f], files[g], "--p", order, "--method", method],
+            "bounds": ["bounds", "--p", order, "--q", "1.5",
+                       "--margins-f", files[f], "--margins-g", files[g]],
+            "sample": ["sample", files[f], files[g]],
+            "oracle": ["oracle", files[f], files[g], "--p", order],
+        }[command]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == table_exit_code(command, method, order, f, g), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert sum("error:" in line for line in err.getvalue().splitlines()) == 1
+        else:
+            assert out.getvalue() and err.getvalue() == ""

@@ -12,7 +12,6 @@ from wassercop import (
     EmpiricalCopula,
     JointSpec,
     LowerFH,
-    PointMass,
     Uniform,
     comonotone_coupling,
     discretize_joint,
@@ -206,8 +205,11 @@ class TestExpectComonotone:
         assert value == pytest.approx(lp, abs=1e-12)
 
     def test_nonfinite_integrand_rejected(self):
-        with pytest.raises(ValueError):
+        # an infinite value is an overflow (exit 4 in the CLI); NaN is not
+        with pytest.raises(OverflowError):
             expect_comonotone(F_RUN, G_RUN, lambda x, y: math.inf)
+        with pytest.raises(ValueError):
+            expect_comonotone(F_RUN, G_RUN, lambda x, y: math.nan)
 
 
 class TestSharedCopulaBuild:

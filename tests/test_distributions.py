@@ -12,7 +12,6 @@ from wassercop import (
     Empirical,
     Exponential,
     Normal,
-    PointMass,
     Uniform,
     empirical_from_samples,
 )
@@ -137,7 +136,7 @@ class TestMoment:
         assert d.moment(2).bound == 2.0
 
     def test_point_mass(self):
-        assert PointMass(-3).moment(2).bound == 9.0
+        assert Empirical([(-3, 1)]).moment(2).bound == 9.0
 
     def test_normal_second_moment(self):
         # oracle: E[X^2] for a standard normal, cross-checked by sampling
@@ -201,7 +200,7 @@ def test_galois_random_sweep():
     dists = [
         Empirical([(rng.uniform(-5, 5), rng.randint(1, 9)) for _ in range(rng.randint(1, 10))])
         for _ in range(20)
-    ] + [Uniform(-1, 4), Normal(0, 2), Exponential(1.5), PointMass(2.0)]
+    ] + [Uniform(-1, 4), Normal(0, 2), Exponential(1.5), Empirical([(2.0, 1)])]
     for _ in range(10_000):
         d = rng.choice(dists)
         u = rng.random()

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wassercop import (
     DiscreteMeasureND,
@@ -113,9 +115,12 @@ class TestSolveOt:
             solve_ot(mu, nu, power_cost(1))
 
     def test_nonfinite_cost(self):
+        # an infinite cost is an overflow (exit 4 in the CLI); NaN is not
         mu = measure_1d(F_RUN)
-        with pytest.raises(ValueError):
+        with pytest.raises(OverflowError):
             solve_ot(mu, mu, lambda x, y: math.inf)
+        with pytest.raises(ValueError):
+            solve_ot(mu, mu, lambda x, y: math.nan)
 
 
 class TestSolveAssignment:
@@ -199,6 +204,56 @@ class TestSimplexVsEnumeration:
             assert simplex == pytest.approx(brute, abs=1e-11)
             checked += 1
         assert checked >= 4  # enough small-denominator instances found
+
+
+def measure_nd(d: int):
+    """Up to 12 atoms on a small lattice of R^d (so ties and merged
+    duplicates occur), with integer or decimal-string masses."""
+    atom = st.tuples(
+        st.tuples(*[st.integers(-4, 4).map(lambda k: k / 2) for _ in range(d)]),
+        st.one_of(st.integers(1, 9), st.sampled_from(["0.5", "0.125", "1.75", "2.2", "0.03"])),
+    )
+    return st.lists(atom, min_size=1, max_size=12).map(DiscreteMeasureND)
+
+
+@st.composite
+def simplex_instance(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    mu, nu = draw(measure_nd(d)), draw(measure_nd(d))
+    # equal counts of equal masses take the assignment fast path instead
+    assume(len(mu) != len(nu) or set(mu.nums + nu.nums) != {1})
+    return mu, nu, draw(st.sampled_from([1.0, 2.0, 3.0]))
+
+
+def highs_value(mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost) -> float:
+    """The same LP in floats, solved by HiGHS (no code shared with the simplex)."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    m, n = len(mu), len(nu)
+    C = np.array([[cost(x, y) for y in nu.locations] for x in mu.locations])
+    res = linprog(
+        C.ravel(),
+        A_eq=np.vstack([np.kron(np.eye(m), np.ones((1, n))), np.kron(np.ones((1, m)), np.eye(n))]),
+        b_eq=np.array([float(w) for w in mu.masses + nu.masses]),
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+class TestSimplexVsHighs:
+    @settings(max_examples=150, deadline=None)
+    @given(simplex_instance())
+    def test_value_and_witness(self, instance):
+        mu, nu, p = instance
+        cost = power_cost(p)
+        value, witness = solve_ot(mu, nu, cost)
+        witness.validate()
+        ref = highs_value(mu, nu, cost)
+        assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 class TestVerifyOps:
