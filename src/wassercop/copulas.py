@@ -304,11 +304,14 @@ def expect_comonotone(
     G: Distribution1D,
     g: Callable[[float, float], float],
     grid: GridSpec | None = None,
+    kinks: Sequence[float] = (),
 ) -> tuple[float, float]:
     """E[g(X, Y)] under the comonotone coupling, as the integral
     of g(F^{-1}(u), G^{-1}(u)) over (0, 1). Returns (value, error_estimate);
     when both laws are atomic the value is an exact weighted sum over the
-    cells of comonotone_cells and the error estimate is 0.0.
+    cells of comonotone_cells and the error estimate is 0.0. kinks are
+    levels where the integrand is not smooth, such as sign changes of
+    F^{-1} - G^{-1} for a cost of x - y; quadrature splits its cells there.
     """
     grid = resolve_grid(F, G, grid)
     if grid.kind == "exact":
@@ -322,8 +325,9 @@ def expect_comonotone(
                 raise error(f"integrand is not finite at ({xf[i]}, {xg[j]})")
             terms.append(m * v)
         return math.fsum(terms), 0.0
-    breaks = F.cumulative_breakpoints() + G.cumulative_breakpoints()
-    return integrate_unit(lambda u: g(F.quantile(u), G.quantile(u)), grid, breaks)
+    breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *kinks]
+    fq, gq = F.quantile, G.quantile
+    return integrate_unit(lambda u: g(fq(u), gq(u)), grid, breaks)
 
 
 def shared_copula_build(

@@ -3,7 +3,10 @@
 Every law exposes the distribution function F and its generalized inverse
 F^{-1}(u) = inf{x : F(x) >= u}. Atomic laws read exact integer weights
 through correctly rounded float levels; parametric families use closed
-forms, with the normal inverse CDF accurate to well below 1e-9.
+forms, with the normal inverse CDF accurate to well below 1e-9. Each
+parametric family also integrates |F^{-1}(u) - y|^p over a cell of levels
+(quantile_cell) in closed form, by truncated moments: the 1-D closed forms
+of Peyre & Cuturi, Computational Optimal Transport (2019), section 2.6.
 """
 from __future__ import annotations
 
@@ -18,6 +21,12 @@ from statistics import NormalDist
 from typing import Iterable, Sequence
 
 from .grids import U_CLAMP
+
+# orders p at which the Normal and Exponential cells have a closed form
+CELL_ORDERS = (1.0, 2.0, 3.0)
+_U_TOP = 1.0 - U_CLAMP
+_STANDARD_NORMAL = NormalDist()
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def _require_finite(x: float, what: str) -> float:
@@ -70,6 +79,11 @@ class Distribution1D:
 
     def _abs_moment(self, p: float) -> float:
         raise NotImplementedError
+
+    def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
+        """int_{u0}^{u1} |F^{-1}(u) - y|^p du for 0 <= u0 <= u1 <= 1, or
+        None where the law has no closed form at this order."""
+        return None
 
     def moment(self, p: float) -> MomentCertificate:
         """Certify the absolute moment of order p >= 1 is finite."""
@@ -225,6 +239,21 @@ class Uniform(Distribution1D):
 
         return (antideriv(self.b) - antideriv(self.a)) / (self.b - self.a)
 
+    def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
+        # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
+        w = self.b - self.a
+        t0, t1 = self.a + w * u0 - y, self.a + w * u1 - y
+        if t0 < 0.0 < t1:
+            return (abs(t0) ** (p + 1) + t1 ** (p + 1)) / ((p + 1) * w)
+        near, far = sorted((abs(t0), abs(t1)))
+        if far == 0.0:
+            return 0.0
+        # far^(p+1) - near^(p+1), with near = far (1 - d) and d taken from
+        # the cell's width: far - near would cancel when y is far away
+        d = w * (u1 - u0) / far
+        log_ratio = (p + 1) * math.log1p(-d) if d < 1.0 else -math.inf
+        return far ** (p + 1) * -math.expm1(log_ratio) / ((p + 1) * w)
+
 
 @dataclass(frozen=True)
 class Normal(Distribution1D):
@@ -243,12 +272,34 @@ class Normal(Distribution1D):
         z = (x - self.mean) / (self.stddev * math.sqrt(2.0))
         return 0.5 * (1.0 + math.erf(z))
 
+    @cached_property
+    def _dist(self) -> NormalDist:
+        return NormalDist(self.mean, self.stddev)
+
     def quantile(self, u: float) -> float:
         u = _check_u(u)
-        u = min(max(u, U_CLAMP), 1.0 - U_CLAMP)
-        return NormalDist(self.mean, self.stddev).inv_cdf(u)
+        if u < U_CLAMP:
+            u = U_CLAMP
+        elif u > _U_TOP:
+            u = _U_TOP
+        return self._dist.inv_cdf(u)
+
+    def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
+        if p not in CELL_ORDERS:
+            return None
+        # with u = Phi(z) the cell is stddev^p int_{z0}^{z1} |z - c|^p phi(z) dz
+        k = int(p)
+        c = (y - self.mean) / self.stddev
+        zs = [_standard_z(u0), _standard_z(u1)]
+        if k % 2 and zs[0] < c < zs[1]:  # the sign of z - c turns inside the cell
+            zs.insert(1, c)
+        pieces = (abs(_normal_moment(z0, z1, c, k)) for z0, z1 in zip(zs, zs[1:]))
+        return self.stddev**k * math.fsum(pieces)
 
     def _abs_moment(self, p: float) -> float:
+        cell = self.quantile_cell(0.0, 1.0, 0.0, p)
+        if cell is not None:
+            return cell
         m, s = self.mean, self.stddev
 
         def integrand(z: float) -> float:
@@ -278,11 +329,79 @@ class Exponential(Distribution1D):
 
     def quantile(self, u: float) -> float:
         u = _check_u(u)
-        u = min(max(u, U_CLAMP), 1.0 - U_CLAMP)
+        if u < U_CLAMP:
+            u = U_CLAMP
+        elif u > _U_TOP:
+            u = _U_TOP
         return -math.log1p(-u) / self.rate
 
     def _abs_moment(self, p: float) -> float:
         return math.gamma(p + 1.0) / self.rate**p
+
+    def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
+        if p not in CELL_ORDERS:
+            return None
+        # with t = -log(1 - u) the cell is rate^-p int_{t0}^{t1} |t - c|^p e^-t dt
+        k = int(p)
+        c = self.rate * y
+        ends = [(u0, _exponential_t(u0))]
+        uc = -math.expm1(-c) if c > 0.0 else 0.0  # F(y)
+        if k % 2 and u0 < uc < u1:  # the sign of t - c turns inside the cell
+            ends.append((uc, c))
+        ends.append((u1, _exponential_t(u1)))
+        pieces = (abs(_exponential_moment(lo, hi, c, k)) for lo, hi in zip(ends, ends[1:]))
+        return math.fsum(pieces) / self.rate**k
+
+
+def _standard_z(u: float) -> float:
+    if u <= 0.0:
+        return -math.inf
+    return math.inf if u >= 1.0 else _STANDARD_NORMAL.inv_cdf(u)
+
+
+def _normal_moment(z0: float, z1: float, c: float, k: int) -> float:
+    """J_k = int_{z0}^{z1} (z - c)^k phi(z) dz by the recursion
+    J_j = (j - 1) J_{j-2} - c J_{j-1} + (z0 - c)^{j-1} phi(z0) - (z1 - c)^{j-1} phi(z1);
+    an infinite end adds no boundary term.
+
+    J_0 is Phi(z1) - Phi(z0) of these z, not the levels' difference u1 - u0:
+    the z carry the inverse CDF's rounding, about 1e-15, and only a J_0 that
+    matches them cancels against the boundary terms on a narrow cell.
+    """
+
+    def edge(z: float, e: int) -> float:
+        return 0.0 if math.isinf(z) else (z - c) ** e * math.exp(-0.5 * z * z) * _INV_SQRT_2PI
+
+    # Phi by erfc from the nearer tail, so a tail cell keeps its digits
+    r = 1.0 / math.sqrt(2.0)
+    if z0 > 0.0:
+        m = [0.5 * (math.erfc(z0 * r) - math.erfc(z1 * r))]
+    else:
+        m = [0.5 * (math.erfc(-z1 * r) - math.erfc(-z0 * r))]
+    for j in range(1, k + 1):
+        # at j = 1 the first term is 0 * m[-1]
+        m.append((j - 1) * m[j - 2] - c * m[j - 1] + edge(z0, j - 1) - edge(z1, j - 1))
+    return m[k]
+
+
+def _exponential_t(u: float) -> float:
+    return math.inf if u >= 1.0 else -math.log1p(-u)
+
+
+def _exponential_moment(lo: tuple[float, float], hi: tuple[float, float], c: float, k: int) -> float:
+    """L_k = int_{t0}^{t1} (t - c)^k e^-t dt between the ends (u0, t0) and
+    (u1, t1), u = 1 - e^-t, by the partial-moment recursion L_j = j L_{j-1}
+    + (t0 - c)^j (1 - u0) - (t1 - c)^j (1 - u1) from L_0 = u1 - u0; the
+    survival 1 - u is 0 at an infinite end."""
+    (u0, t0), (u1, t1) = lo, hi
+
+    def edge(u: float, t: float, j: int) -> float:
+        return 0.0 if u >= 1.0 else (t - c) ** j * (1.0 - u)
+
+    m = u1 - u0
+    for j in range(1, k + 1):
+        m = j * m + edge(u0, t0, j) - edge(u1, t1, j)
+    return m
 
 
 def empirical_from_samples(xs: Sequence[float], ws: Sequence[object] | None = None) -> Empirical:

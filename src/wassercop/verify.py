@@ -204,22 +204,24 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
 def suite_continuous_sanity(
     seed: int = 0, atoms: int = 200, corrupt: bool = False
 ) -> SuiteResult:
-    """W_2(U(0,1), U(0,2))^2 = 1/3 by quadrature and, within 2%, by the
+    """W_2(U(0,1), U(0,2))^2 = 1/3 by the closed-form quantile cells, by
+    quadrature along the comonotone coupling and, within 2%, by the
     discretized LP. The seed is unused: the instance is fixed."""
     F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
-    quad = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
-    gap_quad = abs(quad - 1.0 / 3.0)
+    cells = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
+    quad = wp_via_M(F, G, 2.0).power_value + _shift(corrupt)
+    gap_formula = max(abs(cells - 1.0 / 3.0), abs(quad - 1.0 / 3.0))
     mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=atoms)
     gap_lp = abs(lp - 1.0 / 3.0) / (1.0 / 3.0)
-    ok = gap_quad <= 1e-8 and gap_lp <= 0.02
+    ok = gap_formula <= 1e-8 and gap_lp <= 0.02
     return SuiteResult(
         "continuous_sanity",
         ok,
-        max(gap_quad, gap_lp),
-        2,
-        f"quad={quad!r}, lp={lp!r}",
+        max(gap_formula, gap_lp),
+        3,
+        f"cells={cells!r}, quad={quad!r}, lp={lp!r}",
     )
 
 

@@ -147,6 +147,15 @@ class TestGridArguments:
         assert main(["compute", *uniform_pair, "--p", "2"]) == 2
         assert "WASSERCOP_GRID_TOL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["quantile", "via-m"])
+    def test_unreachable_tolerance_exit_4(self, uniform_pair, method, capsys):
+        # quad cannot reach 1e-300: one typed error line, not an IntegrationWarning
+        argv = ["compute", *uniform_pair, "--p", "2", "--grid-tol", "1e-300", "--method", method]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: quadrature failed on the cell") and len(err.splitlines()) == 1
+
     def test_env_tolerance_used(self, uniform_pair, monkeypatch, capsys):
         monkeypatch.setenv("WASSERCOP_GRID_TOL", "1e-6")
         assert main(["compute", *uniform_pair, "--p", "2"]) == 0
