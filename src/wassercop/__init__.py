@@ -2,22 +2,15 @@
 an exact discrete optimal-transport oracle."""
 
 from .copulas import (
-    Comonotone,
     ComonotonePair,
     EmpiricalCopula,
     FHCheck,
-    JointSpec,
-    LowerFH,
     comonotone_coupling,
     discretize_joint,
     eval_M,
     eval_W,
-    eval_copula,
     expect_comonotone,
     frechet_hoeffding_check,
-    rectangle_volume,
-    shared_copula_build,
-    sklar_joint_cdf,
 )
 from .distributions import (
     Distribution1D,
@@ -43,10 +36,6 @@ from .oracle import (
     power_cost,
     solve_assignment,
     solve_ot,
-    verify_comonotone_optimal,
-    verify_projection_bound,
-    verify_shared_copula_decomposition,
-    verify_wpq_sandwich,
 )
 from .wasserstein import (
     DistanceReport,
@@ -63,7 +52,6 @@ from .wasserstein import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Comonotone",
     "ComonotonePair",
     "DiscreteCoupling",
     "DiscreteMeasureND",
@@ -74,8 +62,6 @@ __all__ = [
     "Exponential",
     "FHCheck",
     "GridSpec",
-    "JointSpec",
-    "LowerFH",
     "Method",
     "MomentCertificate",
     "MomentGateError",
@@ -89,22 +75,14 @@ __all__ = [
     "empirical_from_samples",
     "eval_M",
     "eval_W",
-    "eval_copula",
     "exact_breakpoints",
     "expect_comonotone",
     "frechet_hoeffding_check",
     "norm_cost",
     "power_cost",
-    "rectangle_volume",
-    "shared_copula_build",
-    "sklar_joint_cdf",
     "solve_assignment",
     "solve_ot",
     "uniform_grid",
-    "verify_comonotone_optimal",
-    "verify_projection_bound",
-    "verify_shared_copula_decomposition",
-    "verify_wpq_sandwich",
     "w1_cdf",
     "wp_lower_bound_nd",
     "wp_quantile",

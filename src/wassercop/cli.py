@@ -100,15 +100,35 @@ def _load_margins(paths: list[str]):
     return [load_distribution(p) for p in paths]
 
 
+def _atom_cap(text: str) -> int:
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"atom cap must be >= 1, got {cap}")
+    return cap
+
+
+def _shared_inputs(args):
+    """The copula (None without --copula) and both margin lists, with every
+    shape mismatch a usage error."""
+    nf, ng = len(args.margins_f), len(args.margins_g)
+    if nf != ng:
+        raise ParseError(f"--margins-f and --margins-g give {nf} and {ng} margins; they must match")
+    C = None
+    if args.copula is not None:
+        C = load_copula(args.copula, ranks_auto=args.ranks == "auto")
+        if C.dim != nf:
+            raise ParseError(f"copula dimension {C.dim} does not match {nf} margins")
+    return C, _load_margins(args.margins_f), _load_margins(args.margins_g)
+
+
 def cmd_compute(args) -> int:
     grid = _grid_from_args(args)
     if args.copula:
         if not (args.margins_f and args.margins_g):
             raise ParseError("--copula needs --margins-f and --margins-g")
-        C = load_copula(args.copula, ranks_auto=args.ranks == "auto")
-        report = wp_shared_nd(
-            C, _load_margins(args.margins_f), _load_margins(args.margins_g), args.p, grid
-        )
+        if args.inputs:
+            raise ParseError("compute takes two distribution files or --copula, not both")
+        report = wp_shared_nd(*_shared_inputs(args), args.p, grid)
     else:
         if len(args.inputs) != 2:
             raise ParseError("compute needs two distribution files (or --copula)")
@@ -128,20 +148,8 @@ def cmd_compute(args) -> int:
 def cmd_bounds(args) -> int:
     if args.copula is None and len(args.margins_f) > 1:
         raise ParseError("--copula is required for more than one margin")
-    C = (
-        load_copula(args.copula, ranks_auto=args.ranks == "auto")
-        if args.copula is not None
-        else None
-    )
     try:
-        report = wpq_bounds(
-            C,
-            _load_margins(args.margins_f),
-            _load_margins(args.margins_g),
-            args.p,
-            args.q,
-            _grid_from_args(args),
-        )
+        report = wpq_bounds(*_shared_inputs(args), args.p, args.q, _grid_from_args(args))
     except ValueError as exc:
         if "p = q" in str(exc):
             raise ParseError(str(exc)) from exc
@@ -251,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact LP value and coupling witness")
     sp.add_argument("inputs", nargs=2, help="two finitely supported laws")
     sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
-    sp.add_argument("--atom-cap", type=int, default=64)
+    sp.add_argument("--atom-cap", type=_atom_cap, default=64)
     sp.set_defaults(fn=cmd_oracle)
 
     return parser

@@ -1,13 +1,12 @@
-"""Copulas, Fréchet–Hoeffding bounds, Sklar assembly, comonotone couplings."""
+"""Empirical copulas, Fréchet–Hoeffding bounds, Sklar assembly, comonotone couplings."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
-from .distributions import Distribution1D, Empirical, _check_u
+from .distributions import Distribution1D, Empirical
 from .grids import GridSpec, adaptive_quadrature, exact_breakpoints, integrate_unit, uniform_grid
 
 FH_TOL = 1e-12
@@ -38,43 +37,8 @@ def eval_W(u: Sequence[float]) -> float:
     return max(math.fsum(v) - len(v) + 1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Comonotone:
-    """The comonotonicity copula M^d."""
-
-    dim: int
-    kind = "comonotone"
-    is_copula = True
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("copula dimension must be >= 2")
-
-
-@dataclass(frozen=True)
-class LowerFH:
-    """The lower Fréchet–Hoeffding function W^d; a copula only for d = 2.
-
-    For d > 2 it is usable only as a bound, never as a dependence structure.
-    """
-
-    dim: int
-    kind = "lower_fh"
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("copula dimension must be >= 2")
-
-    @property
-    def is_copula(self) -> bool:
-        return self.dim == 2
-
-
 class EmpiricalCopula:
     """Rank-based copula: C(u) = (1/n) #{rows r : r_i <= u_i for all i}."""
-
-    kind = "empirical"
-    is_copula = True
 
     def __init__(self, rows: Sequence[Sequence[float]]):
         if not rows:
@@ -104,6 +68,11 @@ class EmpiricalCopula:
         if n == 0:
             raise ValueError("need at least one data row")
         dim = len(data[0])
+        for row in data:
+            if len(row) != dim:
+                raise ValueError(f"data rows must share one length, got {dim} and {len(row)}")
+            if not all(math.isfinite(x) for x in row):
+                raise ValueError(f"data values must be finite, got {tuple(row)!r}")
         cols = []
         for i in range(dim):
             col = [row[i] for row in data]
@@ -117,26 +86,12 @@ class EmpiricalCopula:
     def eval(self, u: Sequence[float]) -> float:
         u = _check_unit_vector(u)
         if len(u) != self.dim:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"dimension mismatch: copula dim {self.dim}, argument dim {len(u)}")
         hits = sum(1 for r in self.rows if all(ri <= ui for ri, ui in zip(r, u)))
         return hits / self.n
 
     def __repr__(self):
         return f"EmpiricalCopula(n={self.n}, dim={self.dim})"
-
-
-CopulaSpec = Union[Comonotone, LowerFH, EmpiricalCopula]
-
-
-def eval_copula(c: CopulaSpec, u: Sequence[float]) -> float:
-    u = _check_unit_vector(u)
-    if len(u) != c.dim:
-        raise ValueError(f"dimension mismatch: copula dim {c.dim}, argument dim {len(u)}")
-    if isinstance(c, Comonotone):
-        return eval_M(u)
-    if isinstance(c, LowerFH):
-        return eval_W(u)
-    return c.eval(u)
 
 
 @dataclass(frozen=True)
@@ -148,64 +103,21 @@ class FHCheck:
 
 
 def frechet_hoeffding_check(
-    c: CopulaSpec,
+    c: EmpiricalCopula,
     u: Sequence[float],
-    evaluator: Callable[[CopulaSpec, Sequence[float]], float] | None = None,
+    evaluator: Callable[[EmpiricalCopula, Sequence[float]], float] | None = None,
 ) -> FHCheck:
-    """Check W^d(u) <= C(u) <= M^d(u) at u, with 1/n slack for empirical copulas.
+    """Check W^d(u) <= C(u) <= M^d(u) at u, with the 1/n discretization slack.
 
     evaluator exists so a corrupted evaluation path can be checked against
-    the bounds; it defaults to eval_copula.
+    the bounds; it defaults to EmpiricalCopula.eval.
     """
     lower = eval_W(u)
     upper = eval_M(u)
-    value = (evaluator or eval_copula)(c, u)
-    tol = FH_TOL + (1.0 / c.n if isinstance(c, EmpiricalCopula) else 0.0)
+    value = (evaluator or EmpiricalCopula.eval)(c, u)
+    tol = FH_TOL + 1.0 / c.n
     ok = lower - tol <= value <= upper + tol
     return FHCheck(lower=lower, value=value, upper=upper, ok=ok)
-
-
-def rectangle_volume(c: CopulaSpec, a: Sequence[float], b: Sequence[float]) -> float:
-    """C-volume of the rectangle [a, b] via inclusion-exclusion over corners."""
-    a = _check_unit_vector(a)
-    b = _check_unit_vector(b)
-    if len(a) != len(b):
-        raise ValueError("rectangle corners must share a dimension")
-    if any(ai > bi for ai, bi in zip(a, b)):
-        raise ValueError("rectangle needs a_i <= b_i")
-    total = 0.0
-    for picks in product((0, 1), repeat=len(a)):
-        corner = tuple(b[i] if s else a[i] for i, s in enumerate(picks))
-        sign = -1.0 if (len(a) - sum(picks)) % 2 else 1.0
-        total += sign * eval_copula(c, corner)
-    return total
-
-
-@dataclass(frozen=True)
-class JointSpec:
-    """Sklar assembly of a law on R^d: d margins plus one genuine copula."""
-
-    margins: tuple[Distribution1D, ...]
-    copula: CopulaSpec
-
-    def __post_init__(self):
-        if len(self.margins) != self.copula.dim:
-            raise ValueError(
-                f"margin count {len(self.margins)} does not match copula dim {self.copula.dim}"
-            )
-        if not self.copula.is_copula:
-            raise ValueError("JointSpec requires a genuine copula (LowerFH with d > 2 is only a bound)")
-
-    @property
-    def dim(self) -> int:
-        return self.copula.dim
-
-
-def sklar_joint_cdf(j: JointSpec, x: Sequence[float]) -> float:
-    """H(x) = C(F_1(x_1), ..., F_d(x_d))."""
-    if len(x) != j.dim:
-        raise ValueError("dimension mismatch")
-    return eval_copula(j.copula, tuple(m.cdf(xi) for m, xi in zip(j.margins, x)))
 
 
 def resolve_grid(
@@ -330,32 +242,16 @@ def expect_comonotone(
     return integrate_unit(lambda u: g(fq(u), gq(u)), grid, breaks)
 
 
-def shared_copula_build(
-    C: CopulaSpec,
-    marginsF: Sequence[Distribution1D],
-    marginsG: Sequence[Distribution1D],
-) -> tuple[JointSpec, JointSpec]:
-    """Assemble two joint laws through one common copula object.
-
-    Sharedness is enforced by construction: both JointSpecs reference the
-    same CopulaSpec instance.
-    """
-    if len(marginsF) != len(marginsG):
-        raise ValueError("margin lists must share a dimension")
-    return JointSpec(tuple(marginsF), C), JointSpec(tuple(marginsG), C)
-
-
-def discretize_joint(j: JointSpec) -> list[tuple[tuple[float, ...], Fraction]]:
-    """n-atom realization of a joint law with an empirical copula.
+def discretize_joint(
+    C: EmpiricalCopula, margins: Sequence[Distribution1D]
+) -> list[tuple[tuple[float, ...], Fraction]]:
+    """n-atom Sklar assembly of the law with copula C and these margins.
 
     Row u_j of the copula maps to the atom (F_1^{-1}(u_{j,1}), ...,
-    F_d^{-1}(u_{j,d})) with mass exactly 1/n.
+    F_d^{-1}(u_{j,d})) with mass exactly 1/n. Two laws discretized on the
+    same C share their copula by construction.
     """
-    if not isinstance(j.copula, EmpiricalCopula):
-        raise ValueError("only joints with an empirical copula discretize to finitely many atoms")
-    n = j.copula.n
-    mass = Fraction(1, n)
-    return [
-        (tuple(m.quantile(u) for m, u in zip(j.margins, row)), mass)
-        for row in j.copula.rows
-    ]
+    if len(margins) != C.dim:
+        raise ValueError(f"margin count {len(margins)} does not match copula dim {C.dim}")
+    mass = Fraction(1, C.n)
+    return [(tuple(m.quantile(u) for m, u in zip(margins, row)), mass) for row in C.rows]

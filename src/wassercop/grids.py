@@ -5,9 +5,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-# Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP]; atoms carry no
-# mass at the clamp, so integrals over (0, 1) are unaffected at the tolerances
-# used anywhere in this package.
+# Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], so quadrature
+# skips the levels beyond the clamp. That is not always negligible: for a slow
+# tail at p = 3, wp_via_M(Exponential(0.5), Empirical([(0, 3), (4, 1)]), 3)
+# is 1.5e-7 below the closed form. ROADMAP item 2 plans tail cells in
+# t = -log(1 - u) to close the gap.
 U_CLAMP = 1e-12
 
 DEFAULT_QUAD_TOL = 1e-8

@@ -6,7 +6,9 @@ their margin constraints exactly, and the only floating-point error in a
 reported value is cost evaluation. The solver is a transportation simplex
 with Bland's rule (deterministic, terminates) that pivots on those integers,
 with an assignment fast path for equal-count uniform-mass instances and an
-exhaustive permutation oracle for tiny ones.
+exhaustive permutation oracle for tiny ones. It imports none of the formulas
+it certifies; the acceptance rules that compare the two live in
+wassercop.verify.
 """
 from __future__ import annotations
 
@@ -17,9 +19,7 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .copulas import EmpiricalCopula, discretize_joint, shared_copula_build
-from .distributions import Distribution1D, Empirical, merge_atoms
-from .wasserstein import wp_lower_bound_nd, wp_quantile, wp_shared_nd, wpq_bounds
+from .distributions import Empirical, merge_atoms
 
 DEFAULT_ATOM_CAP = 64
 _MAX_PIVOTS = 100_000
@@ -291,126 +291,3 @@ def brute_force_assignment(
     return min(
         math.fsum(C[i][sigma[i]] for i in range(n)) for sigma in permutations(range(n))
     ) / n
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    name: str
-    lp_value: float
-    formula_value: float
-    gap: float
-    passed: bool
-    detail: str = ""
-
-
-def verify_comonotone_optimal(
-    F: Empirical, G: Empirical, p: float, formula_shift: float = 0.0
-) -> VerifyReport:
-    """Check that the quantile-integral power equals the LP minimum for |x-y|^p.
-
-    formula_shift perturbs the formula side; it exists to prove the harness
-    can fail.
-    """
-    lp, _ = solve_ot(
-        DiscreteMeasureND.from_empirical(F),
-        DiscreteMeasureND.from_empirical(G),
-        power_cost(p),
-    )
-    formula = wp_quantile(F, G, p).power_value + formula_shift
-    gap = abs(lp - formula)
-    return VerifyReport(
-        name="comonotone_optimal",
-        lp_value=lp,
-        formula_value=formula,
-        gap=gap,
-        passed=gap <= 1e-9 * max(1.0, lp),
-    )
-
-
-def _margins(mu: DiscreteMeasureND) -> list[Empirical]:
-    return [mu.margin(i) for i in range(mu.dim)]
-
-
-def _shared_discrete_pair(
-    C: EmpiricalCopula,
-    marginsF: Sequence[Distribution1D],
-    marginsG: Sequence[Distribution1D],
-) -> tuple[DiscreteMeasureND, DiscreteMeasureND]:
-    jf, jg = shared_copula_build(C, marginsF, marginsG)
-    return DiscreteMeasureND(discretize_joint(jf)), DiscreteMeasureND(discretize_joint(jg))
-
-
-def verify_shared_copula_decomposition(
-    C: EmpiricalCopula,
-    marginsF: Sequence[Distribution1D],
-    marginsG: Sequence[Distribution1D],
-    p: float,
-    formula_shift: float = 0.0,
-) -> VerifyReport:
-    """LP value on the shared-copula discretization vs the coordinatewise sum.
-
-    Both sides are evaluated on the same n-atom construction: the margins of
-    the discrete measures feed the one-dimensional quantile formula.
-    """
-    mu, nu = _shared_discrete_pair(C, marginsF, marginsG)
-    lp, _ = solve_ot(mu, nu, power_cost(p))
-    formula = wp_shared_nd(C, _margins(mu), _margins(nu), p).power_value + formula_shift
-    gap = abs(lp - formula)
-    return VerifyReport(
-        name="shared_copula_decomposition",
-        lp_value=lp,
-        formula_value=formula,
-        gap=gap,
-        passed=gap <= 1e-9 * max(1.0, lp),
-    )
-
-
-def verify_projection_bound(
-    mu: DiscreteMeasureND, nu: DiscreteMeasureND, p: float, formula_shift: float = 0.0
-) -> VerifyReport:
-    """LP value >= sum of coordinatewise one-dimensional powers, any margins.
-
-    formula_shift perturbs the formula side, as in verify_comonotone_optimal.
-    """
-    lp, _ = solve_ot(mu, nu, power_cost(p))
-    lower = wp_lower_bound_nd(_margins(mu), _margins(nu), p) + formula_shift
-    gap = lower - lp
-    return VerifyReport(
-        name="projection_bound",
-        lp_value=lp,
-        formula_value=lower,
-        gap=gap,
-        passed=lp >= lower - 1e-10,
-    )
-
-
-def verify_wpq_sandwich(
-    C: EmpiricalCopula,
-    marginsF: Sequence[Distribution1D],
-    marginsG: Sequence[Distribution1D],
-    p: float,
-    q: float,
-    swap_constant: bool = False,
-) -> VerifyReport:
-    """Exact W_{p,q}^p on the shared-copula discretization lies in the sandwich.
-
-    swap_constant builds the sandwich with d^{q/p-1} in place of d^{p/q-1};
-    it exists to prove the harness can fail.
-    """
-    mu, nu = _shared_discrete_pair(C, marginsF, marginsG)
-    lp, _ = solve_ot(mu, nu, norm_cost(p, q))
-    report = wpq_bounds(C, _margins(mu), _margins(nu), p, q)
-    lo, hi = report.bounds
-    if swap_constant:
-        s, wrong = report.power_value, mu.dim ** (q / p - 1.0)
-        lo, hi = (s, wrong * s) if q < p else (wrong * s, s)
-    inside = lo - 1e-10 <= lp <= hi + 1e-10
-    gap = max(lo - lp, lp - hi)
-    return VerifyReport(
-        name="wpq_sandwich",
-        lp_value=lp,
-        formula_value=report.power_value,
-        gap=gap,
-        passed=inside,
-        detail=f"bounds=({lo!r}, {hi!r})",
-    )

@@ -1,9 +1,10 @@
 """Verification suites: every theorem-level identity checked against the
 exact discrete optimal-transport oracle on seeded random instances.
 
-These suites are the one definition of the acceptance criteria. Each takes
-corrupt=True to plant a mistake on its formula side, which proves the suite
-can fail.
+These suites are the one definition of the acceptance criteria: each
+suite's instances, counts, tolerances and pass rule are written here, and
+the oracle only solves. Each takes corrupt=True to plant a mistake on its
+formula side, which proves the suite can fail.
 """
 from __future__ import annotations
 
@@ -12,8 +13,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .copulas import eval_copula, frechet_hoeffding_check
-from .distributions import Uniform
+from .copulas import discretize_joint, frechet_hoeffding_check
+from .distributions import Empirical, Uniform
 from .instances import (
     necessity_instance,
     random_discrete_nd,
@@ -24,15 +25,19 @@ from .instances import (
 from .oracle import (
     DiscreteMeasureND,
     brute_force_assignment,
+    norm_cost,
     power_cost,
     solve_assignment,
     solve_ot,
-    verify_comonotone_optimal,
-    verify_projection_bound,
-    verify_shared_copula_decomposition,
-    verify_wpq_sandwich,
 )
-from .wasserstein import w1_cdf, wp_quantile, wp_via_M
+from .wasserstein import (
+    w1_cdf,
+    wp_lower_bound_nd,
+    wp_quantile,
+    wp_shared_nd,
+    wp_via_M,
+    wpq_bounds,
+)
 
 # Added to the formula side of a check by corrupt=True; far above every
 # tolerance below except the Frechet-Hoeffding and sandwich slacks, so those
@@ -53,6 +58,10 @@ def _shift(corrupt: bool) -> float:
     return CORRUPT_SHIFT if corrupt else 0.0
 
 
+def _margins(mu: DiscreteMeasureND) -> list[Empirical]:
+    return [mu.margin(i) for i in range(mu.dim)]
+
+
 def suite_comonotone_optimality(
     seed: int, pairs: int = 200, corrupt: bool = False
 ) -> SuiteResult:
@@ -63,10 +72,12 @@ def suite_comonotone_optimality(
     ok = True
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
+        mu, nu = DiscreteMeasureND.from_empirical(F), DiscreteMeasureND.from_empirical(G)
         for p in (1.0, 2.0, 3.0):
-            r = verify_comonotone_optimal(F, G, p, formula_shift=_shift(corrupt))
-            worst = max(worst, r.gap / max(1.0, r.lp_value))
-            ok = ok and r.passed
+            lp, _ = solve_ot(mu, nu, power_cost(p))
+            gap = abs(lp - (wp_quantile(F, G, p).power_value + _shift(corrupt)))
+            worst = max(worst, gap / max(1.0, lp))
+            ok = ok and gap <= 1e-9 * max(1.0, lp)
             checks += 1
     return SuiteResult("comonotone_optimality", ok, worst, checks)
 
@@ -115,7 +126,11 @@ def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -
 
 
 def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
-    """Shared-copula LP equals the coordinatewise sum, d in {2, 3}, p in {1, 2, 3}."""
+    """Shared-copula LP equals the coordinatewise sum, d in {2, 3}, p in {1, 2, 3}.
+
+    Both sides are evaluated on the same n-atom construction: the margins of
+    the discrete measures feed the one-dimensional quantile formula.
+    """
     rng = random.Random(seed)
     worst = 0.0
     ok = True
@@ -123,10 +138,15 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
     for k in range(count):
         d = 2 + (k % 2)
         C, mf, mg = random_shared_instance(rng, d)
+        mu = DiscreteMeasureND(discretize_joint(C, mf))
+        nu = DiscreteMeasureND(discretize_joint(C, mg))
+        fm, gm = _margins(mu), _margins(nu)
         for p in (1.0, 2.0, 3.0):
-            r = verify_shared_copula_decomposition(C, mf, mg, p, formula_shift=_shift(corrupt))
-            worst = max(worst, r.gap / max(1.0, r.lp_value))
-            ok = ok and r.passed
+            lp, _ = solve_ot(mu, nu, power_cost(p))
+            formula = wp_shared_nd(C, fm, gm, p).power_value + _shift(corrupt)
+            gap = abs(lp - formula)
+            worst = max(worst, gap / max(1.0, lp))
+            ok = ok and gap <= 1e-9 * max(1.0, lp)
             checks += 1
     return SuiteResult("decomposition", ok, worst, checks)
 
@@ -137,7 +157,7 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
     rng = random.Random(seed)
     mu, nu = necessity_instance()
     lp, _ = solve_ot(mu, nu, power_cost(2.0))
-    naive = verify_projection_bound(mu, nu, 2.0, formula_shift=_shift(corrupt)).formula_value
+    naive = wp_lower_bound_nd(_margins(mu), _margins(nu), 2.0) + _shift(corrupt)
     ok = lp >= 0.1 and naive == 0.0
     detail = f"witness: lp={lp!r}, coordinatewise sum={naive!r}"
     worst = 0.0
@@ -146,9 +166,10 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
         d = 2 + (k % 2)
         a = random_discrete_nd(rng, d)
         b = random_discrete_nd(rng, d)
-        r = verify_projection_bound(a, b, 2.0, formula_shift=_shift(corrupt))
-        worst = max(worst, r.gap)
-        ok = ok and r.passed
+        lp, _ = solve_ot(a, b, power_cost(2.0))
+        lower = wp_lower_bound_nd(_margins(a), _margins(b), 2.0) + _shift(corrupt)
+        worst = max(worst, lower - lp)
+        ok = ok and lp >= lower - 1e-10
         checks += 1
     return SuiteResult("necessity", ok, worst, checks, detail)
 
@@ -168,7 +189,7 @@ def suite_frechet_hoeffding(
         for d in (2, 3, 4)
         for _ in range(5)
     ]
-    evaluator = (lambda c, u: 1.0 - eval_copula(c, u)) if corrupt else None
+    evaluator = (lambda c, u: 1.0 - c.eval(u)) if corrupt else None
     for k in range(evaluations):
         c = copulas[k % len(copulas)]
         slack = 1.0 / c.n + 1e-12
@@ -194,9 +215,16 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
         for d in (2, 3):
             for _ in range(per_case):
                 C, mf, mg = random_shared_instance(rng, d)
-                r = verify_wpq_sandwich(C, mf, mg, p, q, swap_constant=corrupt)
-                ok = ok and r.passed
-                worst = max(worst, r.gap)
+                mu = DiscreteMeasureND(discretize_joint(C, mf))
+                nu = DiscreteMeasureND(discretize_joint(C, mg))
+                lp, _ = solve_ot(mu, nu, norm_cost(p, q))
+                report = wpq_bounds(C, _margins(mu), _margins(nu), p, q)
+                lo, hi = report.bounds
+                if corrupt:
+                    s, wrong = report.power_value, d ** (q / p - 1.0)
+                    lo, hi = (s, wrong * s) if q < p else (wrong * s, s)
+                ok = ok and lo - 1e-10 <= lp <= hi + 1e-10
+                worst = max(worst, lo - lp, lp - hi)
                 checks += 1
     return SuiteResult("wpq_sandwich", ok, worst, checks)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .copulas import CopulaSpec, comonotone_cells, expect_comonotone, resolve_grid
+from .copulas import EmpiricalCopula, comonotone_cells, expect_comonotone, resolve_grid
 from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
 from .grids import GridSpec, U_CLAMP, integrate_unit, quad_cells
 
@@ -265,7 +265,7 @@ def _check_margins(marginsF: Sequence[Distribution1D], marginsG: Sequence[Distri
 
 
 def wp_shared_nd(
-    C: CopulaSpec | None,
+    C: EmpiricalCopula | None,
     marginsF: Sequence[Distribution1D],
     marginsG: Sequence[Distribution1D],
     p: float,
@@ -279,11 +279,8 @@ def wp_shared_nd(
     if C is None:
         if d != 1:
             raise ValueError("a shared copula is required for d >= 2")
-    else:
-        if C.dim != d:
-            raise ValueError(f"copula dim {C.dim} does not match margin count {d}")
-        if not C.is_copula:
-            raise ValueError("shared-copula distances need a genuine copula")
+    elif C.dim != d:
+        raise ValueError(f"copula dim {C.dim} does not match margin count {d}")
     total = 0.0
     err = 0.0
     for Fi, Gi in zip(marginsF, marginsG):
@@ -315,7 +312,7 @@ def wp_lower_bound_nd(
 
 
 def wpq_bounds(
-    C: CopulaSpec | None,
+    C: EmpiricalCopula | None,
     marginsF: Sequence[Distribution1D],
     marginsG: Sequence[Distribution1D],
     p: float,

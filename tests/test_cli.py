@@ -312,6 +312,53 @@ class TestFileFailures:
         assert "field larger than field limit" in self._one_error_line(capsys)
 
 
+    @pytest.mark.parametrize(
+        "rows",
+        ["1,2\n3\n5,6\n", "1,2\n3,4,9\n5,6\n", "1,2\nnan,4\n5,6\n", "1,2\n3,-inf\n5,6\n"],
+        ids=["short-row", "long-row", "nan", "inf"],
+    )
+    def test_malformed_copula_data(self, running_pair, tmp_path, rows, capsys):
+        bad = tmp_path / "X.csv"
+        bad.write_text(rows)
+        f, g = running_pair
+        argv = ["compute", "--copula", str(bad), "--ranks", "auto",
+                "--margins-f", f, f, "--margins-g", g, g, "--p", "2"]
+        assert main(argv) == 2
+        assert str(bad) in self._one_error_line(capsys)
+
+
+class TestShapeMismatch:
+    """In process through cli.main: inputs whose shapes disagree are usage
+    errors (exit 2) with one `error:` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--p", "2", "--copula", "{c3}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}", "{g}"],
+            ["bounds", "--p", "2", "--q", "1", "--copula", "{c3}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}", "{g}"],
+            ["compute", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}"],
+            ["bounds", "--p", "2", "--q", "1", "--margins-f", "{f}", "--margins-g", "{g}", "{g}"],
+            ["compute", "{f}", "{g}", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}", "{g}"],
+            ["oracle", "{f}", "{g}", "--p", "2", "--atom-cap", "0"],
+        ],
+        ids=["compute-copula-dim", "bounds-copula-dim", "compute-margin-counts",
+             "bounds-margin-counts", "compute-laws-and-copula", "oracle-atom-cap-0"],
+    )
+    def test_mismatch_exit_2(self, running_pair, copula_csv, tmp_path, argv, capsys):
+        c3 = tmp_path / "C3.csv"
+        c3.write_text("0.0,0.0,0.0\n0.5,0.5,0.5\n")
+        f, g = running_pair
+        paths = {"f": f, "g": g, "c2": copula_csv, "c3": str(c3)}
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 class TestOverflow:
     """|0.9 - (-0.9)|^2000 overflows a float although both moments are tiny:
     exit 4 with the cause named."""

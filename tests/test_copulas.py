@@ -7,25 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wassercop import (
-    Comonotone,
+    DiscreteMeasureND,
     Empirical,
     EmpiricalCopula,
-    JointSpec,
-    LowerFH,
     Uniform,
     comonotone_coupling,
     discretize_joint,
     eval_M,
     eval_W,
-    eval_copula,
     expect_comonotone,
     frechet_hoeffding_check,
     power_cost,
-    rectangle_volume,
-    shared_copula_build,
-    sklar_joint_cdf,
     solve_ot,
-    DiscreteMeasureND,
 )
 from wassercop.copulas import COUPLING_GRID_N
 from wassercop.grids import adaptive_quadrature
@@ -64,30 +57,22 @@ class TestBoundEvaluators:
 
 
 class TestEvalCopula:
-    def test_comonotone_delegates_to_min(self):
-        assert eval_copula(Comonotone(2), (0.2, 0.5)) == 0.2
-
     def test_empirical_one_row_dominated(self):
-        assert eval_copula(DIAG, (0.5, 0.5)) == 0.5
+        assert DIAG.eval((0.5, 0.5)) == 0.5
 
     def test_empirical_no_row_dominated(self):
-        assert eval_copula(ANTI, (0.5, 0.5)) == 0.0
+        assert ANTI.eval((0.5, 0.5)) == 0.0
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            eval_copula(Comonotone(3), (0.2, 0.5))
-
-    def test_lower_fh_not_a_copula_above_two(self):
-        assert LowerFH(2).is_copula
-        assert not LowerFH(3).is_copula
-        with pytest.raises(ValueError):
-            JointSpec((Uniform(0, 1),) * 3, LowerFH(3))
+            DIAG.eval((0.2, 0.5, 0.5))
 
 
 class TestFrechetHoeffdingCheck:
     def test_comonotone_attains_upper(self):
-        r = frechet_hoeffding_check(Comonotone(2), (0.3, 0.8))
-        assert r.ok and r.value == r.upper
+        # the diagonal rank copula meets min(u) where min(u) is one of its levels
+        r = frechet_hoeffding_check(DIAG, (0.5, 0.8))
+        assert r.ok and r.value == r.upper == 0.5
 
     def test_empirical_random_sweep(self):
         rng = random.Random(3)
@@ -100,25 +85,6 @@ class TestFrechetHoeffdingCheck:
         # by more than the 1/n slack of the two-row copula
         r = frechet_hoeffding_check(DIAG, (0.9, 0.9), evaluator=lambda c, u: 0.0)
         assert not r.ok
-
-
-class TestSklar:
-    def test_min_of_uniform_cdfs(self):
-        j = JointSpec((Uniform(0, 1), Uniform(0, 1)), Comonotone(2))
-        assert sklar_joint_cdf(j, (0.4, 0.6)) == pytest.approx(0.4)
-
-    def test_groundedness_far_left(self):
-        j = JointSpec((Uniform(0, 1), Uniform(0, 1)), Comonotone(2))
-        assert sklar_joint_cdf(j, (-1e12, 0.5)) == 0.0
-
-    def test_empirical_margins(self):
-        j = JointSpec((F_RUN, F_RUN), Comonotone(2))
-        assert sklar_joint_cdf(j, (0, 5)) == pytest.approx(0.5)
-
-    def test_margin_recovery(self):
-        j = JointSpec((F_RUN, Uniform(0, 2)), Comonotone(2))
-        for x in (-0.5, 0.0, 0.7, 1.0):
-            assert sklar_joint_cdf(j, (x, 1e12)) == pytest.approx(F_RUN.cdf(x))
 
 
 class TestComonotoneCoupling:
@@ -213,27 +179,20 @@ class TestExpectComonotone:
 
 
 class TestSharedCopulaBuild:
-    def test_same_copula_object(self):
-        C = Comonotone(2)
-        jf, jg = shared_copula_build(C, (F_RUN, F_RUN), (G_RUN, G_RUN))
-        assert jf.copula is jg.copula is C
-
     def test_same_margins_same_atoms(self):
         u = Uniform(0, 1)
-        jf, jg = shared_copula_build(ANTI, (u, u), (u, u))
-        assert discretize_joint(jf) == discretize_joint(jg)
+        assert discretize_joint(ANTI, (u, u)) == discretize_joint(ANTI, (u, u))
 
     def test_linear_quantile_scaling(self):
-        jf, jg = shared_copula_build(
-            ANTI, (Uniform(0, 1), Uniform(0, 1)), (Uniform(0, 2), Uniform(0, 2))
-        )
-        for (x, mx), (y, my) in zip(discretize_joint(jf), discretize_joint(jg)):
+        f = discretize_joint(ANTI, (Uniform(0, 1), Uniform(0, 1)))
+        g = discretize_joint(ANTI, (Uniform(0, 2), Uniform(0, 2)))
+        for (x, mx), (y, my) in zip(f, g):
             assert mx == my == Fraction(1, 2)
             assert y == tuple(2 * c for c in x)
 
-    def test_rejects_non_copula(self):
-        with pytest.raises(ValueError):
-            shared_copula_build(LowerFH(3), (F_RUN,) * 3, (G_RUN,) * 3)
+    def test_margin_count_must_match_dim(self):
+        with pytest.raises(ValueError, match="margin count 3"):
+            discretize_joint(ANTI, (F_RUN,) * 3)
 
 
 class TestFromData:
@@ -251,7 +210,7 @@ class TestFromData:
             for i in range(3):
                 arg = [1.0] * 3
                 arg[i] = u
-                assert abs(eval_copula(c, arg) - u) <= 1.0 / c.n + 1e-12
+                assert abs(c.eval(arg) - u) <= 1.0 / c.n + 1e-12
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=4))
@@ -276,13 +235,3 @@ def test_empirical_copula_within_bounds(d, n, seed, useed):
     urng = random.Random(useed)
     u = tuple(urng.random() for _ in range(d))
     assert frechet_hoeffding_check(c, u).ok
-
-
-def test_rectangle_volumes_nonnegative():
-    rng = random.Random(13)
-    copulas = [Comonotone(2), LowerFH(2), DIAG, ANTI]
-    for _ in range(400):
-        c = rng.choice(copulas)
-        a = tuple(rng.random() for _ in range(2))
-        b = tuple(min(1.0, ai + rng.random()) for ai in a)
-        assert rectangle_volume(c, a, b) >= -1e-12

@@ -1,7 +1,10 @@
-"""Atomic inputs never load scipy or numpy; the routes that need them still work."""
+"""Atomic inputs never load scipy or numpy; the routes that need them still
+work; and the oracle imports none of the formulas it certifies."""
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,3 +97,26 @@ def test_scipy_routes_keep_their_values():
     value, coupling = solve_ot(mu, nu, power_cost(2.0))
     assert value == 1.75
     assert [(i, j) for i, j, _ in coupling.entries] == [(0, 0), (1, 2), (2, 1)]
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wassercop"
+
+
+def package_imports(module: str) -> set[str]:
+    """The wassercop modules that src/wassercop/<module>.py imports."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wassercop"):
+            found.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[2] for a in node.names if a.name.startswith("wassercop.")}
+    return found
+
+
+def test_oracle_imports_no_formula():
+    # a check must not start from the answer it is checking
+    assert package_imports("oracle") == {"distributions"}
+    assert package_imports("copulas").isdisjoint({"wasserstein", "oracle", "verify"})

@@ -12,15 +12,15 @@ from wassercop import (
     EmpiricalCopula,
     Uniform,
     brute_force_assignment,
+    discretize_joint,
     norm_cost,
     power_cost,
     solve_assignment,
     solve_ot,
-    verify_comonotone_optimal,
-    verify_projection_bound,
-    verify_shared_copula_decomposition,
-    verify_wpq_sandwich,
+    wp_lower_bound_nd,
     wp_quantile,
+    wp_shared_nd,
+    wpq_bounds,
 )
 from wassercop.instances import necessity_instance, random_discrete_nd, random_empirical
 
@@ -256,58 +256,69 @@ class TestSimplexVsHighs:
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
+def margins(mu: DiscreteMeasureND) -> list[Empirical]:
+    return [mu.margin(i) for i in range(mu.dim)]
+
+
+def shared_pair(C, margins_f, margins_g):
+    return tuple(DiscreteMeasureND(discretize_joint(C, m)) for m in (margins_f, margins_g))
+
+
 class TestVerifyOps:
+    """The LP against each formula on fixed instances, outside the suites."""
+
     def test_comonotone_identical(self):
-        r = verify_comonotone_optimal(F_RUN, F_RUN, 2)
-        assert r.passed and r.gap == 0.0
+        mu = measure_1d(F_RUN)
+        lp, _ = solve_ot(mu, mu, power_cost(2))
+        assert lp == wp_quantile(F_RUN, F_RUN, 2).power_value == 0.0
 
     def test_comonotone_running_example(self):
-        r = verify_comonotone_optimal(F_RUN, G_RUN, 2)
-        assert r.lp_value == pytest.approx(1.5, abs=1e-12)
-        assert r.formula_value == pytest.approx(1.5, abs=1e-12)
-        assert r.passed
+        lp, _ = solve_ot(measure_1d(F_RUN), measure_1d(G_RUN), power_cost(2))
+        assert lp == pytest.approx(1.5, abs=1e-12)
+        assert wp_quantile(F_RUN, G_RUN, 2).power_value == pytest.approx(1.5, abs=1e-12)
 
     def test_comonotone_sweep(self):
         rng = random.Random(47)
         for _ in range(50):
             F, G = random_empirical(rng), random_empirical(rng)
             for p in (1, 2, 3):
-                assert verify_comonotone_optimal(F, G, p).passed
+                lp, _ = solve_ot(measure_1d(F), measure_1d(G), power_cost(p))
+                assert wp_quantile(F, G, p).power_value == pytest.approx(lp, rel=1e-9, abs=1e-9)
 
     def test_decomposition_comonotone_rows(self):
         C = EmpiricalCopula([(k / 4, k / 4) for k in range(4)])
-        r = verify_shared_copula_decomposition(
-            C, (Uniform(0, 1), Uniform(-1, 1)), (Uniform(0, 2), Uniform(0, 1)), 2
-        )
-        assert r.passed
+        mu, nu = shared_pair(C, (Uniform(0, 1), Uniform(-1, 1)), (Uniform(0, 2), Uniform(0, 1)))
+        lp, _ = solve_ot(mu, nu, power_cost(2))
+        s = wp_shared_nd(C, margins(mu), margins(nu), 2).power_value
+        assert s == pytest.approx(lp, rel=1e-9, abs=1e-9)
 
     def test_decomposition_same_law(self):
         C = EmpiricalCopula([(0.0, 0.5), (0.5, 0.0)])
         u = Uniform(0, 1)
-        r = verify_shared_copula_decomposition(C, (u, u), (u, u), 2)
-        assert r.passed and r.lp_value == 0.0
+        mu, nu = shared_pair(C, (u, u), (u, u))
+        lp, _ = solve_ot(mu, nu, power_cost(2))
+        assert lp == wp_shared_nd(C, margins(mu), margins(nu), 2).power_value == 0.0
 
     def test_necessity_witness(self):
         mu, nu = necessity_instance()
         lp, _ = solve_ot(mu, nu, power_cost(2))
         assert lp >= 0.1
-        r = verify_projection_bound(mu, nu, 2)
-        assert r.passed and r.formula_value == 0.0
+        assert wp_lower_bound_nd(margins(mu), margins(nu), 2) == 0.0
 
     def test_projection_bound_arbitrary(self):
         rng = random.Random(53)
         for _ in range(40):
             d = rng.choice((2, 3))
-            assert verify_projection_bound(
-                random_discrete_nd(rng, d), random_discrete_nd(rng, d), 2
-            ).passed
+            mu, nu = random_discrete_nd(rng, d), random_discrete_nd(rng, d)
+            lp, _ = solve_ot(mu, nu, power_cost(2))
+            assert lp >= wp_lower_bound_nd(margins(mu), margins(nu), 2) - 1e-10
 
     def test_wpq_sandwich_comonotone_rows(self):
         C = EmpiricalCopula([(k / 5, k / 5) for k in range(5)])
-        r = verify_wpq_sandwich(
-            C, (Uniform(0, 1), Uniform(0, 3)), (Uniform(0, 2), Uniform(1, 2)), 2, 1
-        )
-        assert r.passed
+        mu, nu = shared_pair(C, (Uniform(0, 1), Uniform(0, 3)), (Uniform(0, 2), Uniform(1, 2)))
+        lp, _ = solve_ot(mu, nu, norm_cost(2, 1))
+        lo, hi = wpq_bounds(C, margins(mu), margins(nu), 2, 1).bounds
+        assert lo - 1e-10 <= lp <= hi + 1e-10
 
     def test_wpq_one_dimensional_collapse(self):
         # d = 1: the q-norm is the absolute value, so the LP, the quantile

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wassercop import (
-    Comonotone,
     Empirical,
     EmpiricalCopula,
     Method,
@@ -24,6 +23,8 @@ from wassercop import (
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
 G_RUN = Empirical([(0, "0.25"), (2, "0.75")])
+# the comonotone rank copula on two rows
+M2 = EmpiricalCopula([(0.0, 0.0), (0.5, 0.5)])
 
 
 def random_empirical(rng, max_atoms=10):
@@ -99,14 +100,14 @@ class TestWpViaM:
 
 class TestWpSharedNd:
     def test_identical_margins(self):
-        r = wp_shared_nd(Comonotone(2), (F_RUN, G_RUN), (F_RUN, G_RUN), 2)
+        r = wp_shared_nd(M2, (F_RUN, G_RUN), (F_RUN, G_RUN), 2)
         assert r.value == 0.0
         assert r.method is Method.SHARED_COPULA_SUM
 
     def test_point_masses(self):
         a = (Empirical([(0, 1)]), Empirical([(0, 1)]))
         b = (Empirical([(1, 1)]), Empirical([(2, 1)]))
-        assert wp_shared_nd(Comonotone(2), a, b, 2).power_value == 5.0
+        assert wp_shared_nd(M2, a, b, 2).power_value == 5.0
 
     def test_uniform_margins_empirical_copula(self):
         C = EmpiricalCopula([(0.25, 0.25), (0.75, 0.75)])
@@ -118,7 +119,9 @@ class TestWpSharedNd:
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            wp_shared_nd(Comonotone(3), (F_RUN, G_RUN), (F_RUN, G_RUN), 2)
+            wp_shared_nd(
+                EmpiricalCopula([(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)]), (F_RUN, G_RUN), (F_RUN, G_RUN), 2
+            )
 
 
 class TestWpqBounds:
@@ -128,20 +131,18 @@ class TestWpqBounds:
         assert lo == hi == r.power_value
 
     def test_q_below_p(self):
-        C = Comonotone(2)
-        r = wpq_bounds(C, (F_RUN, F_RUN), (G_RUN, F_RUN), 2, 1)
+        r = wpq_bounds(M2, (F_RUN, F_RUN), (G_RUN, F_RUN), 2, 1)
         assert r.power_value == pytest.approx(1.5, abs=1e-12)
         assert r.bounds == pytest.approx((1.5, 3.0), abs=1e-12)
 
     def test_p_below_q(self):
-        C = Comonotone(2)
-        r = wpq_bounds(C, (F_RUN, F_RUN), (G_RUN, F_RUN), 1, 2)
+        r = wpq_bounds(M2, (F_RUN, F_RUN), (G_RUN, F_RUN), 1, 2)
         assert r.power_value == pytest.approx(1.0, abs=1e-12)
         assert r.bounds == pytest.approx((2 ** -0.5, 1.0), abs=1e-12)
 
     def test_equal_orders_rejected(self):
         with pytest.raises(ValueError):
-            wpq_bounds(Comonotone(2), (F_RUN, F_RUN), (G_RUN, G_RUN), 2, 2)
+            wpq_bounds(M2, (F_RUN, F_RUN), (G_RUN, G_RUN), 2, 2)
 
 
 class TestLowerBoundNd:
