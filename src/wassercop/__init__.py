@@ -21,13 +21,7 @@ from .distributions import (
     Uniform,
     empirical_from_samples,
 )
-from .grids import (
-    GridSpec,
-    QuadratureError,
-    adaptive_quadrature,
-    exact_breakpoints,
-    uniform_grid,
-)
+from .grids import QuadratureError
 from .oracle import (
     DiscreteCoupling,
     DiscreteMeasureND,
@@ -61,28 +55,24 @@ __all__ = [
     "EmpiricalCopula",
     "Exponential",
     "FHCheck",
-    "GridSpec",
     "Method",
     "MomentCertificate",
     "MomentGateError",
     "Normal",
     "QuadratureError",
     "Uniform",
-    "adaptive_quadrature",
     "brute_force_assignment",
     "comonotone_coupling",
     "discretize_joint",
     "empirical_from_samples",
     "eval_M",
     "eval_W",
-    "exact_breakpoints",
     "expect_comonotone",
     "frechet_hoeffding_check",
     "norm_cost",
     "power_cost",
     "solve_assignment",
     "solve_ot",
-    "uniform_grid",
     "w1_cdf",
     "wp_lower_bound_nd",
     "wp_quantile",

@@ -12,12 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
-from .copulas import comonotone_coupling
+from .copulas import COUPLING_GRID_N, comonotone_coupling
 from .distributions import Empirical, check_order
-from .grids import GridSpec, adaptive_quadrature, uniform_grid
 from .io import ParseError, load_copula, load_distribution
 from .oracle import DiscreteMeasureND, power_cost, solve_ot
 from .verify import SUITES, run_suites
@@ -82,20 +80,6 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _grid_from_args(args) -> GridSpec | None:
-    if args.grid_n is not None:
-        return uniform_grid(args.grid_n)
-    if args.grid_tol is not None:
-        return adaptive_quadrature(args.grid_tol)
-    env = os.environ.get("WASSERCOP_GRID_TOL")
-    if env is None:
-        return None
-    try:
-        return adaptive_quadrature(_tolerance(env))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ParseError(f"WASSERCOP_GRID_TOL: {exc}") from exc
-
-
 def _load_margins(paths: list[str]):
     return [load_distribution(p) for p in paths]
 
@@ -122,25 +106,26 @@ def _shared_inputs(args):
 
 
 def cmd_compute(args) -> int:
-    grid = _grid_from_args(args)
     if args.copula:
         if not (args.margins_f and args.margins_g):
             raise ParseError("--copula needs --margins-f and --margins-g")
         if args.inputs:
             raise ParseError("compute takes two distribution files or --copula, not both")
-        report = wp_shared_nd(*_shared_inputs(args), args.p, grid)
+        report = wp_shared_nd(*_shared_inputs(args), args.p, args.grid_tol)
     else:
+        if args.margins_f or args.margins_g or args.ranks == "auto":
+            raise ParseError("--margins-f, --margins-g and --ranks auto need --copula")
         if len(args.inputs) != 2:
             raise ParseError("compute needs two distribution files (or --copula)")
         F, G = load_distribution(args.inputs[0]), load_distribution(args.inputs[1])
         if args.method == "cdf":
             if args.p != 1.0:
                 raise ParseError("the CDF-integral route is specific to p = 1")
-            report = w1_cdf(F, G)
+            report = w1_cdf(F, G, args.grid_tol)
         elif args.method == "via-m":
-            report = wp_via_M(F, G, args.p, grid)
+            report = wp_via_M(F, G, args.p, args.grid_tol)
         else:
-            report = wp_quantile(F, G, args.p, grid)
+            report = wp_quantile(F, G, args.p, args.grid_tol)
     _emit_report(report, args.format)
     return EXIT_OK
 
@@ -149,7 +134,7 @@ def cmd_bounds(args) -> int:
     if args.copula is None and len(args.margins_f) > 1:
         raise ParseError("--copula is required for more than one margin")
     try:
-        report = wpq_bounds(*_shared_inputs(args), args.p, args.q, _grid_from_args(args))
+        report = wpq_bounds(*_shared_inputs(args), args.p, args.q, args.grid_tol)
     except ValueError as exc:
         if "p = q" in str(exc):
             raise ParseError(str(exc)) from exc
@@ -174,8 +159,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     F = load_distribution(args.inputs[0])
     G = load_distribution(args.inputs[1])
-    grid = uniform_grid(args.grid_n) if args.grid_n is not None else None
-    pair = comonotone_coupling(F, G, grid)
+    pair = comonotone_coupling(F, G, args.grid_n)
     merged: dict[tuple[float, float], float] = {}
     for x, y, m in pair.atoms:
         merged[(x, y)] = merged.get((x, y), 0.0) + float(m)
@@ -215,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, with_p=True):
         sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        sp.add_argument("--grid-n", type=_grid_size, default=None, help="midpoint grid size")
         sp.add_argument("--grid-tol", type=_tolerance, default=None, help="quadrature tolerance")
         if with_p:
             sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
@@ -252,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="write the comonotone coupling atoms")
     sp.add_argument("inputs", nargs=2, help="two distribution files")
-    sp.add_argument("--grid-n", type=_grid_size, default=None)
+    sp.add_argument("--grid-n", type=_grid_size, default=COUPLING_GRID_N,
+                    help="midpoint cells for a pair that is not purely atomic")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_sample)
 

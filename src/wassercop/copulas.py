@@ -7,10 +7,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
-from .grids import GridSpec, adaptive_quadrature, exact_breakpoints, integrate_unit, uniform_grid
+from .grids import integrate_unit, quad_tol
 
 FH_TOL = 1e-12
-# midpoint cells of comonotone_coupling's default grid for a non-atomic pair
+# midpoint cells of comonotone_coupling for a non-atomic pair, by default
 COUPLING_GRID_N = 1000
 
 
@@ -120,23 +120,6 @@ def frechet_hoeffding_check(
     return FHCheck(lower=lower, value=value, upper=upper, ok=ok)
 
 
-def resolve_grid(
-    F: Distribution1D, G: Distribution1D, grid: GridSpec | None
-) -> GridSpec:
-    """The grid for integrating over the comonotone coupling of F and G.
-
-    By default two atomic laws use their exact merged breakpoints and any
-    other pair adaptive quadrature; an explicit exact grid needs two atomic
-    laws.
-    """
-    atomic = isinstance(F, Empirical) and isinstance(G, Empirical)
-    if grid is None:
-        return exact_breakpoints() if atomic else adaptive_quadrature()
-    if grid.kind == "exact" and not atomic:
-        raise ValueError("exact breakpoints require two empirical laws")
-    return grid
-
-
 def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, float, float]]:
     """One pass over the staircases of two atomic laws.
 
@@ -169,64 +152,58 @@ def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, flo
 class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
 
-    atoms hold (x, y, mass) triples with float masses. On the breakpoint
-    path u_grid holds the right ends of the cells, the merged float levels
-    of both laws (exact weights, each level rounded once), so equal rational
-    levels give one cell; on a uniform grid it holds the cell midpoints.
+    atoms hold (x, y, mass) triples with float masses. For two atomic laws
+    u_grid holds the right ends of the cells, the merged float levels of
+    both laws (exact weights, each level rounded once), so equal rational
+    levels give one cell; otherwise it holds the midpoints of equal cells.
     Both coordinates are nondecreasing.
     """
 
     u_grid: tuple[float, ...]
     atoms: tuple[tuple[float, float, float], ...]
-    exact: bool
 
 
 def comonotone_coupling(
-    F: Distribution1D, G: Distribution1D, grid: GridSpec | None = None
+    F: Distribution1D, G: Distribution1D, n: int = COUPLING_GRID_N
 ) -> ComonotonePair:
     """Couple F and G through a common uniform level.
 
     For two atomic laws the cells are those of comonotone_cells, one pass
     over both staircases (the north-west corner rule on sorted atoms),
     which realizes the coupling exactly with at most n_F + n_G - 1 atoms.
-    Otherwise a grid on (0, 1) is used, by default COUPLING_GRID_N
-    midpoint cells.
+    Any other pair is discretized on n >= 2 equal cells at their midpoints.
     """
-    resolved = resolve_grid(F, G, grid)
-    if grid is None and resolved.kind == "adaptive":
-        resolved = uniform_grid(COUPLING_GRID_N)
-    if resolved.kind == "exact":
+    if n < 2:
+        raise ValueError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
+    if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
         u_grid, atoms = [], []
         for i, j, c, m in comonotone_cells(F, G):
             u_grid.append(c)
             atoms.append((xf[i], xg[j], m))
-        return ComonotonePair(u_grid=tuple(u_grid), atoms=tuple(atoms), exact=True)
-    if resolved.kind == "uniform":
-        n = resolved.n
-        us = tuple((k + 0.5) / n for k in range(n))
-        atoms = tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us)
-        return ComonotonePair(u_grid=us, atoms=atoms, exact=False)
-    raise ValueError("comonotone_coupling needs an exact or uniform grid; "
-                     "use expect_comonotone for adaptive quadrature")
+        return ComonotonePair(u_grid=tuple(u_grid), atoms=tuple(atoms))
+    us = tuple((k + 0.5) / n for k in range(n))
+    atoms = tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us)
+    return ComonotonePair(u_grid=us, atoms=atoms)
 
 
 def expect_comonotone(
     F: Distribution1D,
     G: Distribution1D,
     g: Callable[[float, float], float],
-    grid: GridSpec | None = None,
+    tol: float | None = None,
     kinks: Sequence[float] = (),
 ) -> tuple[float, float]:
     """E[g(X, Y)] under the comonotone coupling, as the integral
     of g(F^{-1}(u), G^{-1}(u)) over (0, 1). Returns (value, error_estimate);
     when both laws are atomic the value is an exact weighted sum over the
-    cells of comonotone_cells and the error estimate is 0.0. kinks are
-    levels where the integrand is not smooth, such as sign changes of
-    F^{-1} - G^{-1} for a cost of x - y; quadrature splits its cells there.
+    cells of comonotone_cells and the error estimate is 0.0. Otherwise
+    quadrature runs to tol (None: DEFAULT_QUAD_TOL). kinks are levels where
+    the integrand is not smooth, such as sign changes of F^{-1} - G^{-1}
+    for a cost of x - y; quadrature splits its cells there.
     """
-    grid = resolve_grid(F, G, grid)
-    if grid.kind == "exact":
+    tol = quad_tol(tol)
+    if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
         terms = []
         for i, j, _, m in comonotone_cells(F, G):
@@ -239,7 +216,7 @@ def expect_comonotone(
         return math.fsum(terms), 0.0
     breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *kinks]
     fq, gq = F.quantile, G.quantile
-    return integrate_unit(lambda u: g(fq(u), gq(u)), grid, breaks)
+    return integrate_unit(lambda u: g(fq(u), gq(u)), tol, breaks)
 
 
 def discretize_joint(

@@ -69,8 +69,6 @@ class MomentCertificate:
 class Distribution1D:
     """Base class; subclasses implement cdf, quantile and abs_moment."""
 
-    kind = "abstract"
-
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
@@ -146,8 +144,6 @@ class Empirical(Distribution1D):
     """Finitely supported law: sorted atoms with exact weights nums / total,
     read through float levels (cumulative weights, each rounded once)."""
 
-    kind = "empirical"
-
     def __init__(self, atoms: Iterable[tuple[float, object]]):
         pairs = list(atoms)
         self._build([x for x, _ in pairs], [w for _, w in pairs])
@@ -213,7 +209,6 @@ class Empirical(Distribution1D):
 class Uniform(Distribution1D):
     a: float
     b: float
-    kind = "uniform"
 
     def __post_init__(self):
         _require_finite(self.a, "uniform lower bound")
@@ -259,7 +254,6 @@ class Uniform(Distribution1D):
 class Normal(Distribution1D):
     mean: float
     stddev: float
-    kind = "normal"
 
     def __post_init__(self):
         _require_finite(self.mean, "normal mean")
@@ -314,7 +308,6 @@ class Normal(Distribution1D):
 @dataclass(frozen=True)
 class Exponential(Distribution1D):
     rate: float
-    kind = "exponential"
 
     def __post_init__(self):
         _require_finite(self.rate, "exponential rate")

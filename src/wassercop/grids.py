@@ -1,8 +1,7 @@
-"""Integration grids on the unit interval (0, 1)."""
+"""Adaptive quadrature on the unit interval (0, 1)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 # Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], so quadrature
@@ -15,39 +14,13 @@ U_CLAMP = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """How to evaluate an integral over (0, 1).
-
-    kind is one of "exact" (merged staircase breakpoints, no discretization
-    error; only valid when both inputs are purely atomic), "uniform"
-    (midpoint rule on n equal cells) or "adaptive" (adaptive quadrature to
-    tolerance tol).
-    """
-
-    kind: str
-    n: int = 0
-    tol: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("exact", "uniform", "adaptive"):
-            raise ValueError(f"unknown grid kind: {self.kind!r}")
-        if self.kind == "uniform" and self.n < 2:
-            raise ValueError("uniform grid needs n >= 2")
-        if self.kind == "adaptive" and not self.tol > 0:
-            raise ValueError("adaptive grid needs tol > 0")
-
-
-def exact_breakpoints() -> GridSpec:
-    return GridSpec("exact")
-
-
-def uniform_grid(n: int) -> GridSpec:
-    return GridSpec("uniform", n=n)
-
-
-def adaptive_quadrature(tol: float = DEFAULT_QUAD_TOL) -> GridSpec:
-    return GridSpec("adaptive", tol=tol)
+def quad_tol(tol: float | None, default: float = DEFAULT_QUAD_TOL) -> float:
+    """The quadrature tolerance: tol, or default for None; it must be > 0."""
+    if tol is None:
+        return default
+    if not tol > 0:
+        raise ValueError(f"quadrature tolerance must be > 0, got {tol!r}")
+    return tol
 
 
 class QuadratureError(ArithmeticError):
@@ -103,27 +76,17 @@ def quad_cells(f: Callable[[float], float], edges: Sequence[float], tol: float) 
     return value, err
 
 
-def _midpoint_sum(f: Callable[[float], float], n: int) -> float:
-    h = 1.0 / n
-    return h * math.fsum(f((k + 0.5) * h) for k in range(n))
-
-
 def integrate_unit(
     f: Callable[[float], float],
-    grid: GridSpec,
+    tol: float | None = None,
     breakpoints: Sequence[float] = (),
 ) -> tuple[float, float]:
-    """Integrate f over (0, 1), returning (value, error_estimate).
+    """Integrate f over (0, 1) to tol (None: DEFAULT_QUAD_TOL), returning
+    (value, error_estimate).
 
     breakpoints are interior points where f may jump or kink (cumulative
-    weights of atomic inputs, sign changes of a difference); the adaptive
-    rule integrates each cell between them on its own (quad_cells).
+    weights of atomic inputs, sign changes of a difference); each cell
+    between them is integrated on its own (quad_cells).
     """
-    if grid.kind == "uniform":
-        coarse = _midpoint_sum(f, max(2, grid.n // 2))
-        fine = _midpoint_sum(f, grid.n)
-        return fine, abs(fine - coarse)
-    if grid.kind == "adaptive":
-        pts = sorted({b for b in breakpoints if U_CLAMP < b < 1.0 - U_CLAMP})
-        return quad_cells(f, [U_CLAMP, *pts, 1.0 - U_CLAMP], grid.tol)
-    raise ValueError("exact grids carry no quadrature rule; handled by callers")
+    pts = sorted({b for b in breakpoints if U_CLAMP < b < 1.0 - U_CLAMP})
+    return quad_cells(f, [U_CLAMP, *pts, 1.0 - U_CLAMP], quad_tol(tol))

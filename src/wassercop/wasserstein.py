@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .copulas import EmpiricalCopula, comonotone_cells, expect_comonotone, resolve_grid
+from .copulas import EmpiricalCopula, comonotone_cells, expect_comonotone
 from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
-from .grids import GridSpec, U_CLAMP, integrate_unit, quad_cells
+from .grids import U_CLAMP, integrate_unit, quad_cells, quad_tol
 
 
 class Method(str, Enum):
@@ -89,10 +89,12 @@ def _report(p: float, power: float, method: Method, err: float, **kw) -> Distanc
     )
 
 
-def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
-    """W_1 as the area between the distribution functions, int |F - G| dx."""
+def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> DistanceReport:
+    """W_1 as the area between the distribution functions, int |F - G| dx:
+    an exact sum for two atomic laws, else quadrature to tol (None: 1e-10)."""
     _gate(F, 1.0)
     _gate(G, 1.0)
+    tol = quad_tol(tol, 1e-10)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
     lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
@@ -100,7 +102,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D) -> DistanceReport:
     pts = sorted(
         {x for d in (F, G) if isinstance(d, Empirical) for x in d.locations if lo < x < hi}
     )
-    value, err = quad_cells(lambda x: abs(F.cdf(x) - G.cdf(x)), [lo, *pts, hi], 1e-10)
+    value, err = quad_cells(lambda x: abs(F.cdf(x) - G.cdf(x)), [lo, *pts, hi], tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
 
 
@@ -219,41 +221,41 @@ def _kinks(F: Distribution1D, G: Distribution1D, p: float) -> list[float]:
 
 
 def wp_quantile(
-    F: Distribution1D, G: Distribution1D, p: float, grid: GridSpec | None = None
+    F: Distribution1D, G: Distribution1D, p: float, tol: float | None = None
 ) -> DistanceReport:
     """W_p^p as the quantile integral int_0^1 |F^{-1}(u) - G^{-1}(u)|^p du.
 
-    On the default grid two atomic laws sum their cells exactly, and other
-    pairs take closed-form cells where every cell has one (error_estimate
-    0.0); the rest, and any explicit grid, integrate numerically."""
+    The laws choose the route: two atomic laws sum their cells exactly, and
+    other pairs take closed-form cells where every cell has one (both with
+    error_estimate 0.0); the rest integrate numerically to tol (None:
+    DEFAULT_QUAD_TOL)."""
     check_order(p)
     _gate(F, p)
     _gate(G, p)
-    default = grid is None
-    grid = resolve_grid(F, G, grid)
-    if grid.kind == "exact":
+    tol = quad_tol(tol)
+    if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
-    if default:
-        value = _closed_form_power(F, G, p)
-        if value is not None:
-            return _report(p, value, Method.QUANTILE_INTEGRAL, 0.0)
+    value = _closed_form_power(F, G, p)
+    if value is not None:
+        return _report(p, value, Method.QUANTILE_INTEGRAL, 0.0)
     breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *_kinks(F, G, p)]
     value, err = integrate_unit(
-        lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, grid, breaks
+        lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, tol, breaks
     )
     return _report(p, value, Method.QUANTILE_INTEGRAL, err)
 
 
 def wp_via_M(
-    F: Distribution1D, G: Distribution1D, p: float, grid: GridSpec | None = None
+    F: Distribution1D, G: Distribution1D, p: float, tol: float | None = None
 ) -> DistanceReport:
     """W_p^p as the double integral of |x - y|^p against the joint CDF
-    min(F(x), G(y)), evaluated along the comonotone coupling."""
+    min(F(x), G(y)), evaluated along the comonotone coupling: exactly for
+    two atomic laws, else by quadrature to tol (expect_comonotone)."""
     check_order(p)
     _gate(F, p)
     _gate(G, p)
     value, err = expect_comonotone(
-        F, G, lambda x, y: abs(x - y) ** p, grid, kinks=_kinks(F, G, p)
+        F, G, lambda x, y: abs(x - y) ** p, tol, kinks=_kinks(F, G, p)
     )
     return _report(p, value, Method.COMONOTONE_COPULA_INTEGRAL, err)
 
@@ -269,7 +271,7 @@ def wp_shared_nd(
     marginsF: Sequence[Distribution1D],
     marginsG: Sequence[Distribution1D],
     p: float,
-    grid: GridSpec | None = None,
+    tol: float | None = None,
 ) -> DistanceReport:
     """W_p^p between two d-dimensional laws sharing the copula C, as the sum
     of the coordinatewise powers. C is recorded for audit; the value depends
@@ -284,7 +286,7 @@ def wp_shared_nd(
     total = 0.0
     err = 0.0
     for Fi, Gi in zip(marginsF, marginsG):
-        r = wp_quantile(Fi, Gi, p, grid)
+        r = wp_quantile(Fi, Gi, p, tol)
         total += r.power_value
         err += r.error_estimate
     return _report(
@@ -297,7 +299,7 @@ def wp_lower_bound_nd(
     marginsF: Sequence[Distribution1D],
     marginsG: Sequence[Distribution1D],
     p: float,
-    grid: GridSpec | None = None,
+    tol: float | None = None,
 ) -> float:
     """Certified lower bound on W_p^p for any pair of laws with these margins.
 
@@ -307,7 +309,7 @@ def wp_lower_bound_nd(
     """
     _check_margins(marginsF, marginsG)
     return math.fsum(
-        wp_quantile(Fi, Gi, p, grid).power_value for Fi, Gi in zip(marginsF, marginsG)
+        wp_quantile(Fi, Gi, p, tol).power_value for Fi, Gi in zip(marginsF, marginsG)
     )
 
 
@@ -317,7 +319,7 @@ def wpq_bounds(
     marginsG: Sequence[Distribution1D],
     p: float,
     q: float,
-    grid: GridSpec | None = None,
+    tol: float | None = None,
 ) -> DistanceReport:
     """Sandwich the p-th power of the q-norm distance W_{p,q} between laws
     sharing the copula C.
@@ -330,7 +332,7 @@ def wpq_bounds(
     check_order(q, "q")
     if p == q:
         raise ValueError("p = q collapses the sandwich; use wp_shared_nd instead")
-    base = wp_shared_nd(C, marginsF, marginsG, p, grid)
+    base = wp_shared_nd(C, marginsF, marginsG, p, tol)
     d = len(marginsF)
     s = base.power_value
     factor = d ** (p / q - 1.0)

@@ -120,7 +120,8 @@ class TestCompute:
 
 
 class TestGridArguments:
-    """In process through cli.main: the grid options are usage errors (exit 2)."""
+    """In process through cli.main: a bad grid size is a usage error (exit 2),
+    and a tolerance that quadrature cannot reach a numeric failure (exit 4)."""
 
     @pytest.fixture
     def uniform_pair(self, tmp_path):
@@ -136,30 +137,20 @@ class TestGridArguments:
         assert main(["sample", *uniform_pair, "--grid-n", n]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_grid_n_ignores_bad_env_tolerance(self, uniform_pair, monkeypatch, capsys):
-        monkeypatch.setenv("WASSERCOP_GRID_TOL", "abc")
-        assert main(["compute", *uniform_pair, "--p", "2", "--grid-n", "10"]) == 0
-        assert json.loads(capsys.readouterr().out)["power_value"] == pytest.approx(1 / 3, rel=1e-2)
-
-    @pytest.mark.parametrize("tol", ["abc", "0", "-1e-8", "nan"])
-    def test_bad_env_tolerance_exit_2(self, uniform_pair, monkeypatch, tol, capsys):
-        monkeypatch.setenv("WASSERCOP_GRID_TOL", tol)
-        assert main(["compute", *uniform_pair, "--p", "2"]) == 2
-        assert "WASSERCOP_GRID_TOL" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("method", ["quantile", "via-m"])
-    def test_unreachable_tolerance_exit_4(self, uniform_pair, method, capsys):
-        # quad cannot reach 1e-300: one typed error line, not an IntegrationWarning
-        argv = ["compute", *uniform_pair, "--p", "2", "--grid-tol", "1e-300", "--method", method]
+    @pytest.mark.parametrize("method", ["quantile", "via-m", "cdf"])
+    def test_unreachable_tolerance_exit_4(self, tmp_path, method, capsys):
+        # a pair with no closed form, so every method runs quad, which cannot
+        # reach 1e-300: one typed error line, not an IntegrationWarning
+        a = tmp_path / "N.json"
+        b = tmp_path / "U.json"
+        a.write_text(json.dumps({"kind": "normal", "mean": 0.3, "stddev": 0.7}))
+        b.write_text(json.dumps({"kind": "uniform", "a": 0, "b": 2}))
+        p = "1" if method == "cdf" else "2"
+        argv = ["compute", str(a), str(b), "--p", p, "--grid-tol", "1e-300", "--method", method]
         assert main(argv) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: quadrature failed on the cell") and len(err.splitlines()) == 1
-
-    def test_env_tolerance_used(self, uniform_pair, monkeypatch, capsys):
-        monkeypatch.setenv("WASSERCOP_GRID_TOL", "1e-6")
-        assert main(["compute", *uniform_pair, "--p", "2"]) == 0
-        assert json.loads(capsys.readouterr().out)["power_value"] == pytest.approx(1 / 3, abs=1e-6)
 
 
 class TestOrderArguments:
@@ -344,9 +335,12 @@ class TestShapeMismatch:
             ["compute", "{f}", "{g}", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}",
              "--margins-g", "{g}", "{g}"],
             ["oracle", "{f}", "{g}", "--p", "2", "--atom-cap", "0"],
+            ["compute", "{f}", "{g}", "--p", "2", "--margins-f", "{f}", "--margins-g", "{g}",
+             "{g}", "--ranks", "auto"],
         ],
         ids=["compute-copula-dim", "bounds-copula-dim", "compute-margin-counts",
-             "bounds-margin-counts", "compute-laws-and-copula", "oracle-atom-cap-0"],
+             "bounds-margin-counts", "compute-laws-and-copula", "oracle-atom-cap-0",
+             "compute-margins-without-copula"],
     )
     def test_mismatch_exit_2(self, running_pair, copula_csv, tmp_path, argv, capsys):
         c3 = tmp_path / "C3.csv"

@@ -74,7 +74,7 @@ ATOMS = {
 }
 
 
-@pytest.mark.parametrize("F", LAWS, ids=lambda F: F.kind)
+@pytest.mark.parametrize("F", LAWS, ids=lambda F: type(F).__name__.lower())
 @pytest.mark.parametrize("atoms", ["one", "tails", "256"])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_against_atoms_matches_mpmath(F, atoms, p):

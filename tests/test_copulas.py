@@ -21,7 +21,6 @@ from wassercop import (
     solve_ot,
 )
 from wassercop.copulas import COUPLING_GRID_N
-from wassercop.grids import adaptive_quadrature
 
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
@@ -138,10 +137,15 @@ class TestComonotoneCoupling:
 
     def test_default_grid_for_non_atomic_pair(self):
         pair = comonotone_coupling(Uniform(0, 1), Uniform(0, 2))
-        assert not pair.exact and len(pair.atoms) == COUPLING_GRID_N
+        assert len(pair.atoms) == COUPLING_GRID_N
         assert all(y == 2 * x and m == 1 / COUPLING_GRID_N for x, y, m in pair.atoms)
-        with pytest.raises(ValueError):
-            comonotone_coupling(Uniform(0, 1), Uniform(0, 2), adaptive_quadrature())
+        assert len(comonotone_coupling(Uniform(0, 1), Uniform(0, 2), 4).atoms) == 4
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_fewer_than_two_cells_rejected(self, n):
+        for F, G in ((Uniform(0, 1), Uniform(0, 2)), (F_RUN, G_RUN)):
+            with pytest.raises(ValueError, match="n >= 2"):
+                comonotone_coupling(F, G, n)
 
     def test_both_coordinates_nondecreasing(self):
         pair = comonotone_coupling(F_RUN, G_RUN)

@@ -212,7 +212,7 @@ def test_galois_random_sweep():
 @pytest.mark.parametrize(
     "d",
     [Uniform(0, 3), Normal(1, 0.5), Exponential(2.0)],
-    ids=lambda d: d.kind,
+    ids=lambda d: type(d).__name__.lower(),
 )
 def test_pushforward_kolmogorov_smirnov(d):
     # quantile-transform sampling should reproduce the law (continuous cases;

@@ -10,8 +10,10 @@ from wassercop import (
     EmpiricalCopula,
     Method,
     MomentCertificate,
+    Normal,
     Uniform,
     empirical_from_samples,
+    expect_comonotone,
     w1_cdf,
     wp_lower_bound_nd,
     wp_quantile,
@@ -194,6 +196,45 @@ def test_scale_equivariance():
             base = wp_quantile(F, G, p).value
             scaled = wp_quantile(Fs, Gs, p).value
             assert abs(scaled - abs(a) * base) <= 1e-12 * max(1.0, abs(a) * base)
+
+
+class TestIntegrationRule:
+    """The laws choose the route; a tolerance only reaches quadrature."""
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-12])
+    def test_atomic_pair_sums_exactly_at_any_tolerance(self, tol):
+        for route in (wp_quantile, wp_via_M):
+            r = route(F_RUN, G_RUN, 2.0, tol)
+            assert (r.power_value, r.error_estimate) == (1.5, 0.0)
+        r = w1_cdf(F_RUN, G_RUN, tol)
+        assert (r.power_value, r.error_estimate) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-12])
+    @pytest.mark.parametrize(
+        "F, G",
+        [(Uniform(0, 1), Uniform(0, 2)), (Normal(0.5, 2.0), Empirical([(-1, 1), (2, 3)]))],
+        ids=["uniform-pair", "normal-atoms"],
+    )
+    def test_closed_form_pair_ignores_tolerance(self, F, G, tol):
+        r = wp_quantile(F, G, 2.0, tol)
+        assert r.power_value == wp_quantile(F, G, 2.0).power_value
+        assert r.error_estimate == 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda tol: wp_quantile(F_RUN, G_RUN, 2.0, tol),
+            lambda tol: wp_via_M(F_RUN, G_RUN, 2.0, tol),
+            lambda tol: w1_cdf(F_RUN, G_RUN, tol),
+            lambda tol: expect_comonotone(Uniform(0, 1), G_RUN, lambda x, y: x - y, tol),
+            lambda tol: wpq_bounds(None, (F_RUN,), (G_RUN,), 2, 1, tol),
+        ],
+        ids=["wp_quantile", "wp_via_M", "w1_cdf", "expect_comonotone", "wpq_bounds"],
+    )
+    def test_tolerance_must_be_positive(self, call, tol):
+        with pytest.raises(ValueError, match="tolerance must be > 0"):
+            call(tol)
 
 
 def test_report_value_is_root_of_power():
