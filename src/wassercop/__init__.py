@@ -16,7 +16,6 @@ from .distributions import (
     Distribution1D,
     Empirical,
     Exponential,
-    MomentCertificate,
     Normal,
     Uniform,
     empirical_from_samples,
@@ -34,7 +33,6 @@ from .oracle import (
 from .wasserstein import (
     DistanceReport,
     Method,
-    MomentGateError,
     w1_cdf,
     wp_lower_bound_nd,
     wp_quantile,
@@ -56,8 +54,6 @@ __all__ = [
     "Exponential",
     "FHCheck",
     "Method",
-    "MomentCertificate",
-    "MomentGateError",
     "Normal",
     "QuadratureError",
     "Uniform",

@@ -5,7 +5,7 @@ Subcommands: compute (distances), bounds (the W_{p,q} sandwich), verify
 LP on two discrete inputs). Data goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 failed verification, 2 parse/usage error,
-3 moment-gate failure, 4 numerical failure.
+4 numerical failure.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .oracle import DiscreteMeasureND, power_cost, solve_ot
 from .verify import SUITES, run_suites
 from .wasserstein import (
     DistanceReport,
-    MomentGateError,
     w1_cdf,
     wp_quantile,
     wp_shared_nd,
@@ -32,7 +31,6 @@ from .wasserstein import (
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
-EXIT_MOMENT = 3
 EXIT_NUMERIC = 4
 
 
@@ -260,9 +258,6 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MomentGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MOMENT
     except OverflowError as exc:
         # a term |x - y|^p, or their sum W_p^p, beyond the float range
         cause = f"W_p^p overflows a float at p = {args.p:g}" if "p" in args else exc

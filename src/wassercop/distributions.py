@@ -49,25 +49,8 @@ def check_order(p: float, name: str = "p") -> None:
         raise ValueError(f"order {name} must be finite and >= 1, got {p!r}")
 
 
-@dataclass(frozen=True)
-class MomentCertificate:
-    """Finite upper estimate of the absolute moment of order p.
-
-    Required before any p-Wasserstein computation: it witnesses membership
-    in the space of laws with finite p-th moment.
-    """
-
-    p: float
-    bound: float
-
-    def __post_init__(self):
-        check_order(self.p)
-        if not math.isfinite(self.bound):
-            raise ValueError("moment bound must be finite")
-
-
 class Distribution1D:
-    """Base class; subclasses implement cdf, quantile and abs_moment."""
+    """Base class; subclasses implement cdf and quantile."""
 
     def cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -75,18 +58,10 @@ class Distribution1D:
     def quantile(self, u: float) -> float:
         raise NotImplementedError
 
-    def _abs_moment(self, p: float) -> float:
-        raise NotImplementedError
-
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         """int_{u0}^{u1} |F^{-1}(u) - y|^p du for 0 <= u0 <= u1 <= 1, or
         None where the law has no closed form at this order."""
         return None
-
-    def moment(self, p: float) -> MomentCertificate:
-        """Certify the absolute moment of order p >= 1 is finite."""
-        check_order(p)
-        return MomentCertificate(p=float(p), bound=self._abs_moment(float(p)))
 
     def cumulative_breakpoints(self) -> tuple[float, ...]:
         """Interior jump levels of the quantile staircase (empty if none)."""
@@ -188,9 +163,6 @@ class Empirical(Distribution1D):
         # last is exactly 1.0): the levels cdf() reports, so quantile(cdf(x)) <= x
         return self._locs[bisect_left(self._cum, _check_u(u))]
 
-    def _abs_moment(self, p: float) -> float:
-        return math.fsum(n / self.total * abs(x) ** p for x, n in zip(self._locs, self.nums))
-
     def __eq__(self, other):
         return (
             isinstance(other, Empirical)
@@ -215,6 +187,8 @@ class Uniform(Distribution1D):
         _require_finite(self.b, "uniform upper bound")
         if not self.a < self.b:
             raise ValueError("uniform law needs a < b")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"uniform width b - a overflows a float for [{self.a!r}, {self.b!r}]")
 
     def cdf(self, x: float) -> float:
         x = _require_finite(x, "cdf argument")
@@ -227,12 +201,6 @@ class Uniform(Distribution1D):
     def quantile(self, u: float) -> float:
         u = _check_u(u)
         return self.a + u * (self.b - self.a)
-
-    def _abs_moment(self, p: float) -> float:
-        def antideriv(t: float) -> float:
-            return math.copysign(abs(t) ** (p + 1), t) / (p + 1)
-
-        return (antideriv(self.b) - antideriv(self.a)) / (self.b - self.a)
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
         # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
@@ -290,20 +258,6 @@ class Normal(Distribution1D):
         pieces = (abs(_normal_moment(z0, z1, c, k)) for z0, z1 in zip(zs, zs[1:]))
         return self.stddev**k * math.fsum(pieces)
 
-    def _abs_moment(self, p: float) -> float:
-        cell = self.quantile_cell(0.0, 1.0, 0.0, p)
-        if cell is not None:
-            return cell
-        m, s = self.mean, self.stddev
-
-        def integrand(z: float) -> float:
-            return abs(m + s * z) ** p * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-        import scipy.integrate as integrate
-
-        value, _ = integrate.quad(integrand, -math.inf, math.inf, epsabs=1e-12, epsrel=1e-12)
-        return value
-
 
 @dataclass(frozen=True)
 class Exponential(Distribution1D):
@@ -327,9 +281,6 @@ class Exponential(Distribution1D):
         elif u > _U_TOP:
             u = _U_TOP
         return -math.log1p(-u) / self.rate
-
-    def _abs_moment(self, p: float) -> float:
-        return math.gamma(p + 1.0) / self.rate**p
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:

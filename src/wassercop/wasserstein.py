@@ -25,10 +25,6 @@ class Method(str, Enum):
     SHARED_COPULA_SUM = "SharedCopulaSum"
 
 
-class MomentGateError(ValueError):
-    """A required finite-moment certificate could not be produced."""
-
-
 @dataclass(frozen=True)
 class DistanceReport:
     """Computed distance with its p-th power, method and error estimate.
@@ -67,17 +63,12 @@ class DistanceReport:
         return out
 
 
-def _gate(d: Distribution1D, p: float) -> None:
-    try:
-        d.moment(p)
-    except (ValueError, OverflowError) as exc:
-        reason = "it overflows a float" if isinstance(exc, OverflowError) else exc
-        raise MomentGateError(f"finite moment of order {p:g} required: {reason}") from exc
-
-
 def _report(p: float, power: float, method: Method, err: float, **kw) -> DistanceReport:
-    if not math.isfinite(power):  # e.g. x - y overflows for atoms at 1e308 and -1e308
-        raise OverflowError(f"W_p^p = {power} is not a finite float")
+    # e.g. x - y overflows for atoms at 1e308 and -1e308; a W_{p,q} bound
+    # d^(p/q - 1) S can overflow where S does not
+    for v in (power, *kw.get("bounds", ())):
+        if not math.isfinite(v):
+            raise OverflowError(f"W_p^p = {v} is not a finite float")
     power = max(power, 0.0)
     return DistanceReport(
         p=float(p),
@@ -92,8 +83,6 @@ def _report(p: float, power: float, method: Method, err: float, **kw) -> Distanc
 def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> DistanceReport:
     """W_1 as the area between the distribution functions, int |F - G| dx:
     an exact sum for two atomic laws, else quadrature to tol (None: 1e-10)."""
-    _gate(F, 1.0)
-    _gate(G, 1.0)
     tol = quad_tol(tol, 1e-10)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
@@ -230,8 +219,6 @@ def wp_quantile(
     error_estimate 0.0); the rest integrate numerically to tol (None:
     DEFAULT_QUAD_TOL)."""
     check_order(p)
-    _gate(F, p)
-    _gate(G, p)
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
@@ -252,8 +239,6 @@ def wp_via_M(
     min(F(x), G(y)), evaluated along the comonotone coupling: exactly for
     two atomic laws, else by quadrature to tol (expect_comonotone)."""
     check_order(p)
-    _gate(F, p)
-    _gate(G, p)
     value, err = expect_comonotone(
         F, G, lambda x, y: abs(x - y) ** p, tol, kinks=_kinks(F, G, p)
     )
@@ -337,13 +322,7 @@ def wpq_bounds(
     s = base.power_value
     factor = d ** (p / q - 1.0)
     bounds = (s, factor * s) if q < p else (factor * s, s)
-    return DistanceReport(
-        p=float(p),
-        q=float(q),
-        value=base.value,
-        power_value=s,
-        method=Method.SHARED_COPULA_SUM,
-        error_estimate=base.error_estimate,
-        bounds=bounds,
-        copula=repr(C) if C is not None else None,
+    return _report(
+        p, s, Method.SHARED_COPULA_SUM, base.error_estimate,
+        q=float(q), bounds=bounds, copula=base.copula,
     )

@@ -111,12 +111,22 @@ class TestCompute:
         r = run_cli("compute", "--p", "1", "nope1.json", "nope2.json")
         assert r.returncode == 2
 
-    def test_overflowing_moment_exit_3(self, running_pair, tmp_path):
+    def test_overflowing_cost_exit_4(self, running_pair, tmp_path):
         far = tmp_path / "far.json"
         far.write_text(json.dumps({"kind": "empirical", "atoms": [[1e200, "1"]]}))
         r = run_cli("compute", "--p", "3", str(far), running_pair[0])
-        assert r.returncode == 3
-        assert "finite moment of order 3 required" in r.stderr
+        assert r.returncode == 4
+        assert r.stdout == ""
+        assert "overflows a float at p = 3" in r.stderr
+
+    def test_uniform_of_infinite_width_exit_2(self, running_pair, tmp_path, capsys):
+        # b - a = inf: rejected when the file is read, not turned into W_1 = 0
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"kind": "uniform", "a": -1e308, "b": 1e308}))
+        assert main(["compute", "--p", "1", "--method", "cdf", str(wide), running_pair[0]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
 
 
 class TestGridArguments:
@@ -412,6 +422,21 @@ class TestOverflow:
         assert captured.out == ""
         assert captured.err == "error: W_p^p overflows a float at p = 1\n"
 
+    def test_overflowing_bound_exit_4(self, tmp_path, capsys):
+        # S = 5 * 3^300 is finite, but the upper bound 5^299 S is not
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        c = tmp_path / "C.csv"
+        a.write_text(json.dumps({"kind": "point_mass", "location": 0}))
+        b.write_text(json.dumps({"kind": "point_mass", "location": 3}))
+        c.write_text("0,0,0,0,0\n0.5,0.5,0.5,0.5,0.5\n")
+        argv = ["bounds", "--p", "300", "--q", "1", "--copula", str(c),
+                "--margins-f", *[str(a)] * 5, "--margins-g", *[str(b)] * 5]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: W_p^p overflows a float at p = 300\n"
+
 
 # Files for the exit-code table: name -> contents (None: nothing written;
 # "directory" is made a directory)
@@ -419,7 +444,8 @@ TABLE_FILES = {
     "valid": '{"kind": "empirical", "atoms": [[0, "0.5"], [1, "0.5"]]}',
     "csv": "x,w\n0,1\n2,3\n",
     "point_mass": '{"kind": "point_mass", "location": 3}',
-    # W_1 of these two is infinite, and either one's second moment overflows
+    # W_1 of these two is infinite, and |x - y|^2 overflows against any
+    # other atom
     "far_pos": '{"kind": "empirical", "atoms": [[1e308, "1"]]}',
     "far_neg": '{"kind": "empirical", "atoms": [[-1e308, "1"]]}',
     "missing": None,
@@ -433,8 +459,7 @@ FAR = {"far_pos", "far_neg"}
 
 def table_exit_code(command: str, method: str, order: str, f: str, g: str) -> int:
     """The exit code cli's docstring table gives: 2 for a bad order or an
-    unreadable file, 3 when a moment overflows (the gate), 4 when W_p^p or
-    an oracle cost does, else 0."""
+    unreadable file, 4 when some cost |x - y|^p overflows, else 0."""
     if command != "sample" and order not in ("1", "2"):
         return 2
     if {f, g} & UNREADABLE:
@@ -444,14 +469,9 @@ def table_exit_code(command: str, method: str, order: str, f: str, g: str) -> in
     if command == "compute" and method == "cdf" and order != "1":
         return 2
     far = {f, g} & FAR
-    if command == "oracle":
-        # no moment gate: every cost |x - y|^p must be a finite float
-        if far == FAR or (far and {f, g} - FAR and order == "2"):
-            return 4
-        return 0
-    if far and order == "2":
-        return 3
-    return 4 if far == FAR else 0
+    if far == FAR or (far and {f, g} - FAR and order == "2"):
+        return 4
+    return 0
 
 
 class TestExitCodeTable:

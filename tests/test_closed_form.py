@@ -119,8 +119,8 @@ def test_normal_moment_is_the_cell_at_zero():
     for p in (1.0, 2.0, 3.0):
         F = Normal(-0.7, 1.3)
         want = mp_against_atoms(F, Empirical([(0.0, 1)]), p)
-        assert abs(F.moment(p).bound - want) <= 1e-12 * want
-    assert Normal(1.0, 2.0).moment(2).bound == 5.0
+        assert abs(F.quantile_cell(0.0, 1.0, 0.0, p) - want) <= 1e-12 * want
+    assert Normal(1.0, 2.0).quantile_cell(0.0, 1.0, 0.0, 2.0) == 5.0
 
 
 def test_non_integer_orders_fall_back_to_quadrature():

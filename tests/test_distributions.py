@@ -30,6 +30,11 @@ class TestCdf:
     def test_uniform_linear(self):
         assert Uniform(0, 2).cdf(0.5) == 0.25
 
+    def test_uniform_width_must_be_finite(self):
+        # a width of inf would make every cdf value 0.0 and W_1 silently 0.0
+        with pytest.raises(ValueError, match="overflows a float"):
+            Uniform(-1e308, 1e308)
+
     def test_right_continuity_limits(self):
         assert TWO_POINT.cdf(1) == 1.0
         assert TWO_POINT.cdf(0.999999) == 0.5
@@ -131,29 +136,21 @@ class TestEmpiricalFromSamples:
 
 
 class TestMoment:
-    def test_empirical_exact(self):
-        d = Empirical([(0, HALF), (2, HALF)])
-        assert d.moment(2).bound == 2.0
-
-    def test_point_mass(self):
-        assert Empirical([(-3, 1)]).moment(2).bound == 9.0
+    """E|X|^p is the quantile cell (0, 1) against y = 0."""
 
     def test_normal_second_moment(self):
         # oracle: E[X^2] for a standard normal, cross-checked by sampling
-        cert = Normal(0, 1).moment(2)
-        assert cert.bound == pytest.approx(1.0, abs=1e-9)
+        second = Normal(0, 1).quantile_cell(0.0, 1.0, 0.0, 2.0)
+        assert second == pytest.approx(1.0, abs=1e-9)
         rng = random.Random(7)
         d = Normal(0, 1)
         n = 200_000
         sampled = math.fsum(d.quantile(rng.random()) ** 2 for _ in range(n)) / n
-        assert cert.bound == pytest.approx(sampled, abs=0.02)
+        assert second == pytest.approx(sampled, abs=0.02)
 
     def test_exponential_closed_form(self):
-        assert Exponential(2.0).moment(3).bound == pytest.approx(math.gamma(4) / 8.0)
-
-    def test_order_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            TWO_POINT.moment(0.5)
+        third = Exponential(2.0).quantile_cell(0.0, 1.0, 0.0, 3.0)
+        assert third == pytest.approx(math.gamma(4) / 8.0)
 
 
 @st.composite
