@@ -20,7 +20,7 @@ from .distributions import (
     Uniform,
     empirical_from_samples,
 )
-from .grids import QuadratureError
+from .grids import InputError, QuadratureError
 from .oracle import (
     DiscreteCoupling,
     DiscreteMeasureND,
@@ -53,6 +53,7 @@ __all__ = [
     "EmpiricalCopula",
     "Exponential",
     "FHCheck",
+    "InputError",
     "Method",
     "Normal",
     "QuadratureError",

@@ -3,9 +3,11 @@
 Subcommands: compute (distances), bounds (the W_{p,q} sandwich), verify
 (oracle-backed suites), sample (comonotone coupling atoms), oracle (exact
 LP on two discrete inputs). Data goes to stdout, diagnostics to stderr.
+A copula file holds d-column data rows, ranked column by column.
 
-Exit codes: 0 success, 1 failed verification, 2 parse/usage error,
-4 numerical failure.
+Exit codes: 0 success, 1 failed verification, 2 parse/usage error (argparse,
+or the library's InputError: it checks every argument's value), 4 numerical
+failure.
 """
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import json
 import sys
 
 from .copulas import COUPLING_GRID_N, comonotone_coupling
-from .distributions import Empirical, check_order
-from .io import ParseError, load_copula, load_distribution
+from .distributions import Empirical
+from .grids import InputError
+from .io import load_copula, load_distribution
 from .oracle import DiscreteMeasureND, power_cost, solve_ot
 from .verify import SUITES, run_suites
 from .wasserstein import (
@@ -55,70 +58,32 @@ def _emit_report(report: DistanceReport, fmt: str) -> None:
             print(f"W_{{{report.p:g},{report.q:g}}}^{report.p:g} in [{lo:.12g}, {hi:.12g}]")
 
 
-def _grid_size(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"grid size must be >= 2, got {n}")
-    return n
-
-
-def _order(text: str) -> float:
-    try:
-        p = float(text)
-        check_order(p)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"order must be finite and >= 1, got {text!r}") from None
-    return p
-
-
-def _tolerance(text: str) -> float:
-    tol = float(text)
-    if not tol > 0:
-        raise argparse.ArgumentTypeError(f"tolerance must be > 0, got {text!r}")
-    return tol
-
-
 def _load_margins(paths: list[str]):
     return [load_distribution(p) for p in paths]
 
 
-def _atom_cap(text: str) -> int:
-    cap = int(text)
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"atom cap must be >= 1, got {cap}")
-    return cap
-
-
 def _shared_inputs(args):
-    """The copula (None without --copula) and both margin lists, with every
-    shape mismatch a usage error."""
-    nf, ng = len(args.margins_f), len(args.margins_g)
-    if nf != ng:
-        raise ParseError(f"--margins-f and --margins-g give {nf} and {ng} margins; they must match")
-    C = None
-    if args.copula is not None:
-        C = load_copula(args.copula, ranks_auto=args.ranks == "auto")
-        if C.dim != nf:
-            raise ParseError(f"copula dimension {C.dim} does not match {nf} margins")
+    """The copula (None without --copula) and both margin lists."""
+    C = None if args.copula is None else load_copula(args.copula)
     return C, _load_margins(args.margins_f), _load_margins(args.margins_g)
 
 
 def cmd_compute(args) -> int:
     if args.copula:
         if not (args.margins_f and args.margins_g):
-            raise ParseError("--copula needs --margins-f and --margins-g")
+            raise InputError("--copula needs --margins-f and --margins-g")
         if args.inputs:
-            raise ParseError("compute takes two distribution files or --copula, not both")
+            raise InputError("compute takes two distribution files or --copula, not both")
         report = wp_shared_nd(*_shared_inputs(args), args.p, args.grid_tol)
     else:
-        if args.margins_f or args.margins_g or args.ranks == "auto":
-            raise ParseError("--margins-f, --margins-g and --ranks auto need --copula")
+        if args.margins_f or args.margins_g:
+            raise InputError("--margins-f and --margins-g need --copula")
         if len(args.inputs) != 2:
-            raise ParseError("compute needs two distribution files (or --copula)")
+            raise InputError("compute needs two distribution files (or --copula)")
         F, G = load_distribution(args.inputs[0]), load_distribution(args.inputs[1])
         if args.method == "cdf":
             if args.p != 1.0:
-                raise ParseError("the CDF-integral route is specific to p = 1")
+                raise InputError("the CDF-integral route is specific to p = 1")
             report = w1_cdf(F, G, args.grid_tol)
         elif args.method == "via-m":
             report = wp_via_M(F, G, args.p, args.grid_tol)
@@ -129,14 +94,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    if args.copula is None and len(args.margins_f) > 1:
-        raise ParseError("--copula is required for more than one margin")
-    try:
-        report = wpq_bounds(*_shared_inputs(args), args.p, args.q, args.grid_tol)
-    except ValueError as exc:
-        if "p = q" in str(exc):
-            raise ParseError(str(exc)) from exc
-        raise
+    report = wpq_bounds(*_shared_inputs(args), args.p, args.q, args.grid_tol)
     _emit_report(report, args.format)
     return EXIT_OK
 
@@ -169,7 +127,7 @@ def cmd_sample(args) -> int:
         with open(args.output, "w", newline="") as out:
             csv.writer(out).writerows(rows)
     except OSError as exc:
-        raise ParseError(f"cannot write {args.output}: {exc}") from exc
+        raise InputError(f"cannot write {args.output}: {exc}") from exc
     return EXIT_OK
 
 
@@ -177,7 +135,7 @@ def cmd_oracle(args) -> int:
     F = load_distribution(args.inputs[0])
     G = load_distribution(args.inputs[1])
     if not (isinstance(F, Empirical) and isinstance(G, Empirical)):
-        raise ParseError("the oracle needs finitely supported inputs")
+        raise InputError("the oracle needs finitely supported inputs")
     mu = DiscreteMeasureND.from_empirical(F)
     nu = DiscreteMeasureND.from_empirical(G)
     value, witness = solve_ot(mu, nu, power_cost(args.p), atom_cap=args.atom_cap)
@@ -197,27 +155,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(sp, with_p=True):
         sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
-        sp.add_argument("--grid-tol", type=_tolerance, default=None, help="quadrature tolerance")
+        sp.add_argument("--grid-tol", type=float, default=None, help="quadrature tolerance")
         if with_p:
-            sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
+            sp.add_argument("--p", type=float, required=True, help="order p >= 1")
 
     sp = sub.add_parser("compute", help="compute a distance between two laws")
     add_common(sp)
     sp.add_argument("inputs", nargs="*", help="two distribution files (.csv or .json)")
     sp.add_argument("--method", choices=("quantile", "cdf", "via-m"), default="quantile")
-    sp.add_argument("--copula", help="empirical copula rows (CSV) for the shared-copula sum")
+    sp.add_argument("--copula", help="d-column data rows (CSV) whose ranks give the shared copula")
     sp.add_argument("--margins-f", nargs="+", help="margin files of the first law")
     sp.add_argument("--margins-g", nargs="+", help="margin files of the second law")
-    sp.add_argument("--ranks", choices=("given", "auto"), default="given")
     sp.set_defaults(fn=cmd_compute)
 
     sp = sub.add_parser("bounds", help="two-sided bounds on the q-norm distance power")
     add_common(sp)
-    sp.add_argument("--q", type=_order, required=True, help="norm order q >= 1, q != p")
+    sp.add_argument("--q", type=float, required=True, help="norm order q >= 1, q != p")
     sp.add_argument("--copula", default=None, help="required unless there is a single margin")
     sp.add_argument("--margins-f", nargs="+", required=True)
     sp.add_argument("--margins-g", nargs="+", required=True)
-    sp.add_argument("--ranks", choices=("given", "auto"), default="given")
     sp.set_defaults(fn=cmd_bounds)
 
     sp = sub.add_parser("verify", help="run oracle-backed verification suites")
@@ -233,15 +189,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sample", help="write the comonotone coupling atoms")
     sp.add_argument("inputs", nargs=2, help="two distribution files")
-    sp.add_argument("--grid-n", type=_grid_size, default=COUPLING_GRID_N,
+    sp.add_argument("--grid-n", type=int, default=COUPLING_GRID_N,
                     help="midpoint cells for a pair that is not purely atomic")
     sp.add_argument("-o", "--output", default=None)
     sp.set_defaults(fn=cmd_sample)
 
     sp = sub.add_parser("oracle", help="exact LP value and coupling witness")
     sp.add_argument("inputs", nargs=2, help="two finitely supported laws")
-    sp.add_argument("--p", type=_order, required=True, help="order p >= 1")
-    sp.add_argument("--atom-cap", type=_atom_cap, default=64)
+    sp.add_argument("--p", type=float, required=True, help="order p >= 1")
+    sp.add_argument("--atom-cap", type=int, default=64)
     sp.set_defaults(fn=cmd_oracle)
 
     return parser
@@ -255,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ParseError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:

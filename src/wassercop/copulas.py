@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
-from .grids import integrate_unit, quad_tol
+from .grids import InputError, integrate_unit, quad_tol
 
 FH_TOL = 1e-12
 # midpoint cells of comonotone_coupling for a non-atomic pair, by default
@@ -174,7 +174,7 @@ def comonotone_coupling(
     Any other pair is discretized on n >= 2 equal cells at their midpoints.
     """
     if n < 2:
-        raise ValueError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
+        raise InputError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
         u_grid, atoms = [], []

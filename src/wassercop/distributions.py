@@ -20,7 +20,7 @@ from itertools import accumulate
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
-from .grids import U_CLAMP
+from .grids import U_CLAMP, InputError
 
 # orders p at which the Normal and Exponential cells have a closed form
 CELL_ORDERS = (1.0, 2.0, 3.0)
@@ -44,9 +44,9 @@ def _check_u(u: float) -> float:
 
 
 def check_order(p: float, name: str = "p") -> None:
-    """Raise ValueError unless the order p is finite and >= 1."""
+    """Raise InputError unless the order p is finite and >= 1."""
     if not (math.isfinite(p) and p >= 1):
-        raise ValueError(f"order {name} must be finite and >= 1, got {p!r}")
+        raise InputError(f"order {name} must be finite and >= 1, got {p!r}")
 
 
 class Distribution1D:
@@ -204,10 +204,11 @@ class Uniform(Distribution1D):
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
         # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
+        # t^(p+1) / w as t^p (t / w): t^(p+1) alone overflows before the cell
         w = self.b - self.a
         t0, t1 = self.a + w * u0 - y, self.a + w * u1 - y
         if t0 < 0.0 < t1:
-            return (abs(t0) ** (p + 1) + t1 ** (p + 1)) / ((p + 1) * w)
+            return ((-t0) ** p * (-t0 / w) + t1 ** p * (t1 / w)) / (p + 1)
         near, far = sorted((abs(t0), abs(t1)))
         if far == 0.0:
             return 0.0
@@ -215,7 +216,7 @@ class Uniform(Distribution1D):
         # the cell's width: far - near would cancel when y is far away
         d = w * (u1 - u0) / far
         log_ratio = (p + 1) * math.log1p(-d) if d < 1.0 else -math.inf
-        return far ** (p + 1) * -math.expm1(log_ratio) / ((p + 1) * w)
+        return far ** p * (far * -math.expm1(log_ratio) / w) / (p + 1)
 
 
 @dataclass(frozen=True)
@@ -294,7 +295,11 @@ class Exponential(Distribution1D):
             ends.append((uc, c))
         ends.append((u1, _exponential_t(u1)))
         pieces = (abs(_exponential_moment(lo, hi, c, k)) for lo, hi in zip(ends, ends[1:]))
-        return math.fsum(pieces) / self.rate**k
+        value = math.fsum(pieces)
+        # rate^k underflows to 0.0 for a tiny rate; k divisions overflow to inf
+        for _ in range(k):
+            value /= self.rate
+        return value
 
 
 def _standard_z(u: float) -> float:

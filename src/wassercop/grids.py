@@ -14,12 +14,17 @@ U_CLAMP = 1e-12
 DEFAULT_QUAD_TOL = 1e-8
 
 
+class InputError(ValueError):
+    """A bad argument or input file, which the CLI exits 2 on. It lives
+    here because every module that raises it can import grids."""
+
+
 def quad_tol(tol: float | None, default: float = DEFAULT_QUAD_TOL) -> float:
     """The quadrature tolerance: tol, or default for None; it must be > 0."""
     if tol is None:
         return default
     if not tol > 0:
-        raise ValueError(f"quadrature tolerance must be > 0, got {tol!r}")
+        raise InputError(f"quadrature tolerance must be > 0, got {tol!r}")
     return tol
 
 

@@ -14,10 +14,7 @@ from .distributions import (
     Uniform,
     empirical_from_samples,
 )
-
-
-class ParseError(ValueError):
-    """Malformed input file or unsupported schema."""
+from .grids import InputError
 
 
 def distribution_from_json(obj: dict) -> Distribution1D:
@@ -36,8 +33,8 @@ def distribution_from_json(obj: dict) -> Distribution1D:
         if kind == "exponential":
             return Exponential(float(obj["rate"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad distribution spec: {exc}") from exc
-    raise ParseError(f"unknown distribution kind {obj.get('kind')!r}")
+        raise InputError(f"bad distribution spec: {exc}") from exc
+    raise InputError(f"unknown distribution kind {obj.get('kind')!r}")
 
 
 def _csv_rows(path: Path) -> list[list[str]]:
@@ -46,57 +43,56 @@ def _csv_rows(path: Path) -> list[list[str]]:
         with path.open(newline="") as fh:
             return [row for row in csv.reader(fh) if any(map(str.strip, row))]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _samples_from_csv(path: Path) -> Empirical:
     rows = _csv_rows(path)
     if not rows:
-        raise ParseError(f"{path}: empty file")
+        raise InputError(f"{path}: empty file")
     try:
         float(rows[0][0])
     except ValueError:
         del rows[0]  # header line `x[,w]`
     if not rows:
-        raise ParseError(f"{path}: no samples")
+        raise InputError(f"{path}: no samples")
     try:
         xs = [float(row[0]) for row in rows]
     except ValueError as exc:
-        raise ParseError(f"{path}: bad sample location: {exc}") from exc
+        raise InputError(f"{path}: bad sample location: {exc}") from exc
     ws = [(row[1].strip() if len(row) > 1 else "") or "1" for row in rows]
     try:
         return empirical_from_samples(xs, ws)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_distribution(path: str | Path) -> Distribution1D:
     """Load a law from a .json spec or a .csv sample file (header `x[,w]`)."""
     path = Path(path)
     if not path.exists():
-        raise ParseError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}")
     if path.suffix.lower() == ".json":
         try:
             text = path.read_text()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {path}: {exc}") from exc
+            raise InputError(f"cannot read {path}: {exc}") from exc
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+            raise InputError(f"{path}: invalid JSON: {exc}") from exc
         return distribution_from_json(obj)
     return _samples_from_csv(path)
 
 
-def load_copula(path: str | Path, ranks_auto: bool = False) -> EmpiricalCopula:
-    """Load empirical-copula rows from CSV (d columns).
-
-    With ranks_auto the rows are treated as raw data and rank-transformed to
-    pseudo-observations; otherwise they must already lie in [0, 1]^d.
+def load_copula(path: str | Path) -> EmpiricalCopula:
+    """The empirical copula of d-column CSV data rows, ranked column by
+    column (EmpiricalCopula.from_data). Rows that are already shifted ranks
+    (each column a permutation of 0, 1/n, ..., (n-1)/n) come back unchanged.
     """
     path = Path(path)
     if not path.exists():
-        raise ParseError(f"no such file: {path}")
+        raise InputError(f"no such file: {path}")
     rows = []
     for row in _csv_rows(path):
         cells = [c.strip() for c in row if c.strip()]
@@ -105,10 +101,10 @@ def load_copula(path: str | Path, ranks_auto: bool = False) -> EmpiricalCopula:
         except ValueError:
             if not rows:  # header line
                 continue
-            raise ParseError(f"{path}: bad copula row {row!r}")
+            raise InputError(f"{path}: bad copula row {row!r}")
     if not rows:
-        raise ParseError(f"{path}: no copula rows")
+        raise InputError(f"{path}: no copula rows")
     try:
-        return EmpiricalCopula.from_data(rows) if ranks_auto else EmpiricalCopula(rows)
+        return EmpiricalCopula.from_data(rows)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc

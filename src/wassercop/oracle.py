@@ -19,7 +19,8 @@ from functools import cached_property
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .distributions import Empirical, merge_atoms
+# InputError by way of distributions: the oracle imports no other module
+from .distributions import Empirical, InputError, check_order, merge_atoms
 
 DEFAULT_ATOM_CAP = 64
 _MAX_PIVOTS = 100_000
@@ -29,6 +30,7 @@ Cost = Callable[[tuple[float, ...], tuple[float, ...]], float]
 
 def power_cost(p: float) -> Cost:
     """|x - y|^p summed over coordinates: the p-norm cost to the p-th power."""
+    check_order(p)
     return lambda x, y: math.fsum(abs(a - b) ** p for a, b in zip(x, y))
 
 
@@ -230,6 +232,8 @@ def solve_ot(
     """
     if mu.dim != nu.dim:
         raise ValueError("measures must live on the same R^d")
+    if atom_cap < 1:
+        raise InputError(f"atom cap must be >= 1, got {atom_cap!r}")
     if len(mu) > atom_cap or len(nu) > atom_cap:
         raise ValueError(f"instance exceeds the atom cap of {atom_cap}")
     C = _cost_matrix(mu, nu, cost)

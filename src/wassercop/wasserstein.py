@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .copulas import EmpiricalCopula, comonotone_cells, expect_comonotone
 from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
-from .grids import U_CLAMP, integrate_unit, quad_cells, quad_tol
+from .grids import U_CLAMP, InputError, integrate_unit, quad_cells, quad_tol
 
 
 class Method(str, Enum):
@@ -245,10 +245,18 @@ def wp_via_M(
     return _report(p, value, Method.COMONOTONE_COPULA_INTEGRAL, err)
 
 
-def _check_margins(marginsF: Sequence[Distribution1D], marginsG: Sequence[Distribution1D]) -> int:
-    if len(marginsF) != len(marginsG) or not marginsF:
-        raise ValueError("margin lists must be nonempty and share a dimension")
-    return len(marginsF)
+def _coordinate_sums(
+    marginsF: Sequence[Distribution1D],
+    marginsG: Sequence[Distribution1D],
+    p: float,
+    tol: float | None,
+) -> tuple[float, float]:
+    """The fsums of the coordinatewise W_p^p values and of their error estimates."""
+    nf, ng = len(marginsF), len(marginsG)
+    if nf != ng or not nf:
+        raise InputError(f"margin lists must be nonempty and of one length, got {nf} and {ng}")
+    reports = [wp_quantile(Fi, Gi, p, tol) for Fi, Gi in zip(marginsF, marginsG)]
+    return math.fsum(r.power_value for r in reports), math.fsum(r.error_estimate for r in reports)
 
 
 def wp_shared_nd(
@@ -262,18 +270,13 @@ def wp_shared_nd(
     of the coordinatewise powers. C is recorded for audit; the value depends
     only on the margins once sharedness holds by construction. For d = 1 the
     sharing assumption is vacuous and C may be None."""
-    d = _check_margins(marginsF, marginsG)
+    d = len(marginsF)
     if C is None:
-        if d != 1:
-            raise ValueError("a shared copula is required for d >= 2")
+        if d > 1:
+            raise InputError(f"a shared copula is required for d >= 2, got {d} margins")
     elif C.dim != d:
-        raise ValueError(f"copula dim {C.dim} does not match margin count {d}")
-    total = 0.0
-    err = 0.0
-    for Fi, Gi in zip(marginsF, marginsG):
-        r = wp_quantile(Fi, Gi, p, tol)
-        total += r.power_value
-        err += r.error_estimate
+        raise InputError(f"copula dim {C.dim} does not match margin count {d}")
+    total, err = _coordinate_sums(marginsF, marginsG, p, tol)
     return _report(
         p, total, Method.SHARED_COPULA_SUM, err,
         copula=repr(C) if C is not None else None,
@@ -292,10 +295,7 @@ def wp_lower_bound_nd(
     the sum of the one-dimensional powers bounds the joint power from below;
     equality holds exactly when the laws share a copula.
     """
-    _check_margins(marginsF, marginsG)
-    return math.fsum(
-        wp_quantile(Fi, Gi, p, tol).power_value for Fi, Gi in zip(marginsF, marginsG)
-    )
+    return _coordinate_sums(marginsF, marginsG, p, tol)[0]
 
 
 def wpq_bounds(
@@ -316,7 +316,7 @@ def wpq_bounds(
     check_order(p)
     check_order(q, "q")
     if p == q:
-        raise ValueError("p = q collapses the sandwich; use wp_shared_nd instead")
+        raise InputError("p = q collapses the sandwich; use wp_shared_nd instead")
     base = wp_shared_nd(C, marginsF, marginsG, p, tol)
     d = len(marginsF)
     s = base.power_value

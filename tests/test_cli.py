@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wassercop.cli import main
+from wassercop.io import load_copula
 
 
 def run_cli(*args, env=None):
@@ -322,10 +323,20 @@ class TestFileFailures:
         bad = tmp_path / "X.csv"
         bad.write_text(rows)
         f, g = running_pair
-        argv = ["compute", "--copula", str(bad), "--ranks", "auto",
+        argv = ["compute", "--copula", str(bad),
                 "--margins-f", f, f, "--margins-g", g, g, "--p", "2"]
         assert main(argv) == 2
         assert str(bad) in self._one_error_line(capsys)
+
+
+def test_any_rows_load_as_a_rank_copula(tmp_path):
+    # two equal rows are not a copula as given; ranked, each column is a
+    # permutation of {0, 1/n, ..., (n-1)/n}
+    path = tmp_path / "notcop.csv"
+    path.write_text("0.9,0.9\n0.9,0.9\n")
+    C = load_copula(path)
+    for i in range(C.dim):
+        assert sorted(row[i] for row in C.rows) == [k / C.n for k in range(C.n)]
 
 
 class TestShapeMismatch:
@@ -346,11 +357,13 @@ class TestShapeMismatch:
              "--margins-g", "{g}", "{g}"],
             ["oracle", "{f}", "{g}", "--p", "2", "--atom-cap", "0"],
             ["compute", "{f}", "{g}", "--p", "2", "--margins-f", "{f}", "--margins-g", "{g}",
-             "{g}", "--ranks", "auto"],
+             "{g}"],
+            ["oracle", "{f}", "{g}", "--p", "0.5"],
+            ["sample", "{f}", "{g}", "--grid-n", "1"],
         ],
         ids=["compute-copula-dim", "bounds-copula-dim", "compute-margin-counts",
              "bounds-margin-counts", "compute-laws-and-copula", "oracle-atom-cap-0",
-             "compute-margins-without-copula"],
+             "compute-margins-without-copula", "oracle-p-below-1", "sample-grid-n-1"],
     )
     def test_mismatch_exit_2(self, running_pair, copula_csv, tmp_path, argv, capsys):
         c3 = tmp_path / "C3.csv"
@@ -421,6 +434,17 @@ class TestOverflow:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: W_p^p overflows a float at p = 1\n"
+
+    def test_slow_exponentials_exit_4(self, tmp_path, capsys):
+        # W_2^2 = 2 (1e200 - 5e199)^2 = 5e399; rate^2 = 4e-400 is 0.0 as a float
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(json.dumps({"kind": "exponential", "rate": 1e-200}))
+        b.write_text(json.dumps({"kind": "exponential", "rate": 2e-200}))
+        assert main(["compute", str(a), str(b), "--p", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: W_p^p overflows a float at p = 2\n"
 
     def test_overflowing_bound_exit_4(self, tmp_path, capsys):
         # S = 5 * 3^300 is finite, but the upper bound 5^299 S is not

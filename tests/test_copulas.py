@@ -21,6 +21,7 @@ from wassercop import (
     solve_ot,
 )
 from wassercop.copulas import COUPLING_GRID_N
+from wassercop.instances import random_rank_rows
 
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
@@ -215,6 +216,13 @@ class TestFromData:
                 arg = [1.0] * 3
                 arg[i] = u
                 assert abs(c.eval(arg) - u) <= 1.0 / c.n + 1e-12
+
+
+@given(st.integers(1, 60), st.integers(2, 5), st.integers(0, 10**6))
+def test_ranking_leaves_rank_rows_unchanged(n, d, seed):
+    # so a copula file of shifted ranks reads the same when it is ranked
+    rows = random_rank_rows(random.Random(seed), n, d)
+    assert list(EmpiricalCopula.from_data(rows).rows) == rows
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=4))

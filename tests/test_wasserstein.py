@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from wassercop import (
+    DiscreteMeasureND,
     Empirical,
     EmpiricalCopula,
     Exponential,
+    InputError,
     Method,
     Normal,
     Uniform,
+    comonotone_coupling,
     empirical_from_samples,
     expect_comonotone,
+    power_cost,
+    solve_ot,
     w1_cdf,
     wp_lower_bound_nd,
     wp_quantile,
@@ -21,6 +26,9 @@ from wassercop import (
     wp_via_M,
     wpq_bounds,
 )
+from wassercop.distributions import check_order
+from wassercop.grids import quad_tol
+from wassercop.io import load_copula
 
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
@@ -271,6 +279,31 @@ def test_order_must_be_finite_and_at_least_one(call, p):
         call(p)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_order(0.5),
+        lambda: quad_tol(0.0),
+        lambda: comonotone_coupling(F_RUN, G_RUN, 1),
+        lambda: wp_lower_bound_nd((F_RUN,), (G_RUN, G_RUN), 2),
+        lambda: wp_shared_nd(None, (F_RUN, F_RUN), (G_RUN, G_RUN), 2),
+        lambda: wp_shared_nd(M2, (F_RUN,) * 3, (G_RUN,) * 3, 2),
+        lambda: wpq_bounds(M2, (F_RUN,) * 2, (G_RUN,) * 2, 2, 2),
+        lambda: power_cost(0.5),
+        lambda: solve_ot(DiscreteMeasureND([((0.0,), 1)]), DiscreteMeasureND([((1.0,), 1)]),
+                         power_cost(2), atom_cap=0),
+        lambda: load_copula("no-such-copula.csv"),
+    ],
+    ids=["check_order", "quad_tol", "coupling-grid-n", "margin-counts", "copula-required",
+         "copula-dim", "p-equals-q", "power_cost", "atom-cap", "missing-file"],
+)
+def test_bad_arguments_raise_input_error(call):
+    # InputError is what the CLI maps to exit 2; it stays a ValueError
+    with pytest.raises(InputError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
 class TestFarLaws:
     """W_p is translation-invariant, so laws whose p-th moment overflows a
     float can still be at a representable distance."""
@@ -285,6 +318,13 @@ class TestFarLaws:
         # |F - G| = (x - 1e200) / 2e200 on [1e200, 2e200], then 1 - G(x) on [2e200, 3e200]
         r = w1_cdf(Uniform(1e200, 2e200), Uniform(1e200, 3e200))
         assert r.value == pytest.approx(5e199, rel=1e-9)
+
+    @pytest.mark.parametrize("route", [w1_cdf, lambda F, G: wp_quantile(F, G, 1)],
+                             ids=["cdf", "quantile-cells"])
+    def test_far_uniforms_both_routes(self, route):
+        # the closed-form cell divides by its width before it raises to p + 1
+        r = route(Uniform(1e200, 2e200), Uniform(1e200, 3e200))
+        assert r.value == pytest.approx(5e199, rel=1e-12)
 
     def test_far_normals_differ_by_scale(self):
         # W_3^3 = E|Z|^3 for Z ~ N(0, 1) = 2 sqrt(2 / pi)
