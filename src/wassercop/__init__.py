@@ -9,7 +9,6 @@ from .copulas import (
     discretize_joint,
     eval_M,
     eval_W,
-    expect_comonotone,
     frechet_hoeffding_check,
 )
 from .distributions import (
@@ -64,7 +63,6 @@ __all__ = [
     "empirical_from_samples",
     "eval_M",
     "eval_W",
-    "expect_comonotone",
     "frechet_hoeffding_check",
     "norm_cost",
     "power_cost",

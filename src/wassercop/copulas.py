@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
-from .grids import InputError, integrate_unit, quad_tol
+from .grids import InputError
 
 FH_TOL = 1e-12
 # midpoint cells of comonotone_coupling for a non-atomic pair, by default
@@ -152,14 +152,11 @@ def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, flo
 class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
 
-    atoms hold (x, y, mass) triples with float masses. For two atomic laws
-    u_grid holds the right ends of the cells, the merged float levels of
-    both laws (exact weights, each level rounded once), so equal rational
-    levels give one cell; otherwise it holds the midpoints of equal cells.
-    Both coordinates are nondecreasing.
+    atoms hold (x, y, mass) triples with float masses, one per cell of
+    comonotone_cells for two atomic laws, else one per equal cell at its
+    midpoint. Both coordinates are nondecreasing.
     """
 
-    u_grid: tuple[float, ...]
     atoms: tuple[tuple[float, float, float], ...]
 
 
@@ -177,46 +174,11 @@ def comonotone_coupling(
         raise InputError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
-        u_grid, atoms = [], []
-        for i, j, c, m in comonotone_cells(F, G):
-            u_grid.append(c)
-            atoms.append((xf[i], xg[j], m))
-        return ComonotonePair(u_grid=tuple(u_grid), atoms=tuple(atoms))
-    us = tuple((k + 0.5) / n for k in range(n))
-    atoms = tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us)
-    return ComonotonePair(u_grid=us, atoms=atoms)
-
-
-def expect_comonotone(
-    F: Distribution1D,
-    G: Distribution1D,
-    g: Callable[[float, float], float],
-    tol: float | None = None,
-    kinks: Sequence[float] = (),
-) -> tuple[float, float]:
-    """E[g(X, Y)] under the comonotone coupling, as the integral
-    of g(F^{-1}(u), G^{-1}(u)) over (0, 1). Returns (value, error_estimate);
-    when both laws are atomic the value is an exact weighted sum over the
-    cells of comonotone_cells and the error estimate is 0.0. Otherwise
-    quadrature runs to tol (None: DEFAULT_QUAD_TOL). kinks are levels where
-    the integrand is not smooth, such as sign changes of F^{-1} - G^{-1}
-    for a cost of x - y; quadrature splits its cells there.
-    """
-    tol = quad_tol(tol)
-    if isinstance(F, Empirical) and isinstance(G, Empirical):
-        xf, xg = F.locations, G.locations
-        terms = []
-        for i, j, _, m in comonotone_cells(F, G):
-            v = g(xf[i], xg[j])
-            if not math.isfinite(v):
-                # an infinite value of finite atoms is an overflow
-                error = ValueError if math.isnan(v) else OverflowError
-                raise error(f"integrand is not finite at ({xf[i]}, {xg[j]})")
-            terms.append(m * v)
-        return math.fsum(terms), 0.0
-    breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *kinks]
-    fq, gq = F.quantile, G.quantile
-    return integrate_unit(lambda u: g(fq(u), gq(u)), tol, breaks)
+        return ComonotonePair(
+            tuple((xf[i], xg[j], m) for i, j, _, m in comonotone_cells(F, G))
+        )
+    us = ((k + 0.5) / n for k in range(n))
+    return ComonotonePair(tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us))
 
 
 def discretize_joint(

@@ -95,11 +95,13 @@ def load_copula(path: str | Path) -> EmpiricalCopula:
         raise InputError(f"no such file: {path}")
     rows = []
     for row in _csv_rows(path):
-        cells = [c.strip() for c in row if c.strip()]
+        cells = [c.strip() for c in row]
+        while not cells[-1]:  # trailing blank cells; _csv_rows keeps a nonblank one
+            del cells[-1]
         try:
             rows.append(tuple(float(c) for c in cells))
         except ValueError:
-            if not rows:  # header line
+            if not rows and all(cells):  # header line
                 continue
             raise InputError(f"{path}: bad copula row {row!r}")
     if not rows:

@@ -83,7 +83,10 @@ def suite_comonotone_optimality(
 
 
 def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -> SuiteResult:
-    """CDF-integral, quantile-integral and copula-integral routes agree."""
+    """CDF-integral, quantile-integral and copula-integral routes agree. On
+    atomic pairs the quantile and copula routes share one computation, so
+    the CDF route at p = 1 is the independent leg here; the comonotone
+    suite checks the shared one against the LP."""
     rng = random.Random(seed)
     worst = 0.0
     checks = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .copulas import EmpiricalCopula, comonotone_cells, expect_comonotone
+from .copulas import EmpiricalCopula, comonotone_cells
 from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
 from .grids import U_CLAMP, InputError, integrate_unit, quad_cells, quad_tol
 
@@ -122,11 +122,6 @@ def _w1_cdf_empirical(F: Empirical, G: Empirical) -> float:
         x = nxt
 
 
-def _wp_power_empirical(F: Empirical, G: Empirical, p: float) -> float:
-    xf, xg = F.locations, G.locations
-    return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, _, m in comonotone_cells(F, G)])
-
-
 def _same_family_power(F: Distribution1D, G: Distribution1D, p: float) -> float | None:
     """W_p^p of two Normal, Uniform or Exponential laws of one family, or None.
 
@@ -209,26 +204,38 @@ def _kinks(F: Distribution1D, G: Distribution1D, p: float) -> list[float]:
     return []
 
 
+def _comonotone_power(
+    F: Distribution1D, G: Distribution1D, p: float, tol: float | None
+) -> tuple[float, float]:
+    """W_p^p along the comonotone coupling (F^{-1}(U), G^{-1}(U)) and its
+    error estimate: an exact sum over comonotone_cells for two atomic laws
+    (error 0.0), else quadrature of |F^{-1}(u) - G^{-1}(u)|^p to tol (None:
+    DEFAULT_QUAD_TOL), split at both laws' jump levels and at _kinks."""
+    tol = quad_tol(tol)
+    if isinstance(F, Empirical) and isinstance(G, Empirical):
+        xf, xg = F.locations, G.locations
+        cells = comonotone_cells(F, G)
+        return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, _, m in cells]), 0.0
+    breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *_kinks(F, G, p)]
+    fq, gq = F.quantile, G.quantile
+    return integrate_unit(lambda u: abs(fq(u) - gq(u)) ** p, tol, breaks)
+
+
 def wp_quantile(
     F: Distribution1D, G: Distribution1D, p: float, tol: float | None = None
 ) -> DistanceReport:
     """W_p^p as the quantile integral int_0^1 |F^{-1}(u) - G^{-1}(u)|^p du.
 
-    The laws choose the route: two atomic laws sum their cells exactly, and
-    other pairs take closed-form cells where every cell has one (both with
-    error_estimate 0.0); the rest integrate numerically to tol (None:
-    DEFAULT_QUAD_TOL)."""
+    A pair that is not atomic on both sides takes closed-form cells where
+    every cell has one (error_estimate 0.0); every other pair is
+    _comonotone_power, the computation wp_via_M makes."""
     check_order(p)
-    tol = quad_tol(tol)
-    if isinstance(F, Empirical) and isinstance(G, Empirical):
-        return _report(p, _wp_power_empirical(F, G, p), Method.QUANTILE_INTEGRAL, 0.0)
-    value = _closed_form_power(F, G, p)
-    if value is not None:
-        return _report(p, value, Method.QUANTILE_INTEGRAL, 0.0)
-    breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *_kinks(F, G, p)]
-    value, err = integrate_unit(
-        lambda u: abs(F.quantile(u) - G.quantile(u)) ** p, tol, breaks
-    )
+    quad_tol(tol)  # closed-form cells ignore tol, but a bad one is still an error
+    if not (isinstance(F, Empirical) and isinstance(G, Empirical)):
+        value = _closed_form_power(F, G, p)
+        if value is not None:
+            return _report(p, value, Method.QUANTILE_INTEGRAL, 0.0)
+    value, err = _comonotone_power(F, G, p, tol)
     return _report(p, value, Method.QUANTILE_INTEGRAL, err)
 
 
@@ -236,12 +243,11 @@ def wp_via_M(
     F: Distribution1D, G: Distribution1D, p: float, tol: float | None = None
 ) -> DistanceReport:
     """W_p^p as the double integral of |x - y|^p against the joint CDF
-    min(F(x), G(y)), evaluated along the comonotone coupling: exactly for
-    two atomic laws, else by quadrature to tol (expect_comonotone)."""
+    min(F(x), G(y)), evaluated along the comonotone coupling
+    (_comonotone_power). It never takes wp_quantile's closed-form cells, so
+    on a pair that has them it is their independent quadrature check."""
     check_order(p)
-    value, err = expect_comonotone(
-        F, G, lambda x, y: abs(x - y) ** p, tol, kinks=_kinks(F, G, p)
-    )
+    value, err = _comonotone_power(F, G, p, tol)
     return _report(p, value, Method.COMONOTONE_COPULA_INTEGRAL, err)
 
 
@@ -292,8 +298,10 @@ def wp_lower_bound_nd(
     """Certified lower bound on W_p^p for any pair of laws with these margins.
 
     Coordinate projections of a coupling are couplings of the margins, so
-    the sum of the one-dimensional powers bounds the joint power from below;
-    equality holds exactly when the laws share a copula.
+    the sum of the one-dimensional powers bounds the joint power from below.
+    Equality holds when the laws share a copula, and can hold without it:
+    at p = 1 for the atoms (0, 0), (1, 1) against (2, 3), (3, 2), each of
+    mass 1/2, whose copulas differ (at p = 2 the same pair gives 9 > 8).
     """
     return _coordinate_sums(marginsF, marginsG, p, tol)[0]
 

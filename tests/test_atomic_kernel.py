@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wassercop import Empirical, comonotone_coupling, w1_cdf, wp_quantile, wp_via_M
+from wassercop.copulas import comonotone_cells
 
 # a small pool of locations makes duplicates within and across laws common
 LOCATIONS = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(
@@ -60,13 +61,13 @@ def test_walks_equal_the_bisect_references(F, G):
     pair = comonotone_coupling(F, G)
     cells = list(midpoint_cells(F, G))
     assert pair.atoms == tuple((x, y, m) for x, y, _, m in cells)
-    assert pair.u_grid == tuple(c for _, _, c, _ in cells)
+    assert [c for _, _, c, _ in comonotone_cells(F, G)] == [c for _, _, c, _ in cells]
     assert w1_cdf(F, G).power_value == reference_w1_cdf(F, G)
 
 
 def test_rationally_equal_levels_share_cells():
+    assert [c for _, _, c, _ in comonotone_cells(THIRDS, SIXTHS)] == [1 / 3, 1.0]
     pair = comonotone_coupling(THIRDS, SIXTHS)
-    assert pair.u_grid == (1 / 3, 1.0)
     assert pair.atoms == ((0.0, 0.5, 1 / 3), (1.0, 2.0, 1.0 - 1 / 3))
 
 

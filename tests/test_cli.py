@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wassercop import InputError
 from wassercop.cli import main
 from wassercop.io import load_copula
 
@@ -115,10 +116,11 @@ class TestCompute:
     def test_overflowing_cost_exit_4(self, running_pair, tmp_path):
         far = tmp_path / "far.json"
         far.write_text(json.dumps({"kind": "empirical", "atoms": [[1e200, "1"]]}))
-        r = run_cli("compute", "--p", "3", str(far), running_pair[0])
-        assert r.returncode == 4
-        assert r.stdout == ""
-        assert "overflows a float at p = 3" in r.stderr
+        for method in ("quantile", "via-m"):
+            r = run_cli("compute", "--p", "3", "--method", method, str(far), running_pair[0])
+            assert r.returncode == 4
+            assert r.stdout == ""
+            assert "overflows a float at p = 3" in r.stderr
 
     def test_uniform_of_infinite_width_exit_2(self, running_pair, tmp_path, capsys):
         # b - a = inf: rejected when the file is read, not turned into W_1 = 0
@@ -144,7 +146,6 @@ class TestGridArguments:
 
     @pytest.mark.parametrize("n", ["0", "1", "-3", "ten"])
     def test_grid_n_below_two_exit_2(self, uniform_pair, n, capsys):
-        assert main(["compute", *uniform_pair, "--p", "2", "--grid-n", n]) == 2
         assert main(["sample", *uniform_pair, "--grid-n", n]) == 2
         assert capsys.readouterr().out == ""
 
@@ -337,6 +338,19 @@ def test_any_rows_load_as_a_rank_copula(tmp_path):
     C = load_copula(path)
     for i in range(C.dim):
         assert sorted(row[i] for row in C.rows) == [k / C.n for k in range(C.n)]
+
+
+def test_blank_cells_end_a_copula_row_only_at_its_end(tmp_path):
+    # a trailing blank cell is ignored; an interior one is an error, not a
+    # cell to drop (1,,2 is not the 2-D row 1,2)
+    trailing = tmp_path / "trailing.csv"
+    trailing.write_text("1,2,\n3,4,,\n2,1\n")
+    assert load_copula(trailing).dim == 2
+    for text in ("1,,2\n3,,4\n2,,1\n", "1,2\n3,,4\n2,1\n", "a,b\n1,,2\n"):
+        interior = tmp_path / "interior.csv"
+        interior.write_text(text)
+        with pytest.raises(InputError, match="bad copula row"):
+            load_copula(interior)
 
 
 class TestShapeMismatch:

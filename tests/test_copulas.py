@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -7,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wassercop import (
-    DiscreteMeasureND,
     Empirical,
     EmpiricalCopula,
     Uniform,
@@ -15,12 +13,9 @@ from wassercop import (
     discretize_joint,
     eval_M,
     eval_W,
-    expect_comonotone,
     frechet_hoeffding_check,
-    power_cost,
-    solve_ot,
 )
-from wassercop.copulas import COUPLING_GRID_N
+from wassercop.copulas import COUPLING_GRID_N, comonotone_cells
 from wassercop.instances import random_rank_rows
 
 HALF = Fraction(1, 2)
@@ -116,8 +111,9 @@ class TestComonotoneCoupling:
             F = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
             G = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
             pair = comonotone_coupling(F, G)
-            assert pair.u_grid == tuple(sorted(set(F.cumulative()) | set(G.cumulative())))
-            cells = list(zip((0.0,) + pair.u_grid[:-1], pair.u_grid, pair.atoms))
+            ends = tuple(c for _, _, c, _ in comonotone_cells(F, G))
+            assert ends == tuple(sorted(set(F.cumulative()) | set(G.cumulative())))
+            cells = list(zip((0.0,) + ends[:-1], ends, pair.atoms))
             assert all(m == hi - lo for lo, hi, (_, _, m) in cells)
             for k, law in enumerate((F, G)):
                 covered: dict[float, list[float]] = {}
@@ -132,9 +128,8 @@ class TestComonotoneCoupling:
         # 0.1 + 0.2 and 0.3 are one level, so no sliver cell appears between them
         F = Empirical([(0, "0.1"), (1, "0.2"), (2, "0.7")])
         G = Empirical([(0, "0.3"), (5, "0.7")])
-        pair = comonotone_coupling(F, G)
-        assert pair.u_grid == (0.1, 0.3, 1.0)
-        assert [(x, y) for x, y, _ in pair.atoms] == [(0, 0), (1, 0), (2, 5)]
+        assert [c for _, _, c, _ in comonotone_cells(F, G)] == [0.1, 0.3, 1.0]
+        assert [(x, y) for x, y, _ in comonotone_coupling(F, G).atoms] == [(0, 0), (1, 0), (2, 5)]
 
     def test_default_grid_for_non_atomic_pair(self):
         pair = comonotone_coupling(Uniform(0, 1), Uniform(0, 2))
@@ -153,34 +148,6 @@ class TestComonotoneCoupling:
         xs = [x for x, _, _ in pair.atoms]
         ys = [y for _, y, _ in pair.atoms]
         assert xs == sorted(xs) and ys == sorted(ys)
-
-
-class TestExpectComonotone:
-    def test_total_mass(self):
-        value, _ = expect_comonotone(F_RUN, G_RUN, lambda x, y: 1.0)
-        assert value == 1.0
-
-    def test_diagonal_coupling_vanishes(self):
-        value, _ = expect_comonotone(F_RUN, F_RUN, lambda x, y: abs(x - y) ** 2)
-        assert value == 0.0
-
-    def test_running_example_against_lp(self):
-        value, err = expect_comonotone(F_RUN, G_RUN, lambda x, y: abs(x - y))
-        assert value == pytest.approx(0.25 * 0 + 0.25 * 2 + 0.5 * 1)
-        assert err == 0.0
-        lp, _ = solve_ot(
-            DiscreteMeasureND.from_empirical(F_RUN),
-            DiscreteMeasureND.from_empirical(G_RUN),
-            power_cost(1.0),
-        )
-        assert value == pytest.approx(lp, abs=1e-12)
-
-    def test_nonfinite_integrand_rejected(self):
-        # an infinite value is an overflow (exit 4 in the CLI); NaN is not
-        with pytest.raises(OverflowError):
-            expect_comonotone(F_RUN, G_RUN, lambda x, y: math.inf)
-        with pytest.raises(ValueError):
-            expect_comonotone(F_RUN, G_RUN, lambda x, y: math.nan)
 
 
 class TestSharedCopulaBuild:

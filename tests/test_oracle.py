@@ -305,6 +305,16 @@ class TestVerifyOps:
         assert lp >= 0.1
         assert wp_lower_bound_nd(margins(mu), margins(nu), 2) == 0.0
 
+    def test_equality_without_a_shared_copula_at_p1(self):
+        # the README's pair: different copulas, yet at p = 1 the LP equals
+        # the coordinatewise sum; at p = 2 it exceeds it
+        mu = DiscreteMeasureND([((0.0, 0.0), 1), ((1.0, 1.0), 1)])
+        nu = DiscreteMeasureND([((2.0, 3.0), 1), ((3.0, 2.0), 1)])
+        for p, lp_value, coordinate_sum in ((1, 4.0, 4.0), (2, 9.0, 8.0)):
+            lp, _ = solve_ot(mu, nu, power_cost(p))
+            assert lp == lp_value
+            assert wp_lower_bound_nd(margins(mu), margins(nu), p) == coordinate_sum
+
     def test_projection_bound_arbitrary(self):
         rng = random.Random(53)
         for _ in range(40):

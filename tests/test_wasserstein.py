@@ -16,7 +16,6 @@ from wassercop import (
     Uniform,
     comonotone_coupling,
     empirical_from_samples,
-    expect_comonotone,
     power_cost,
     solve_ot,
     w1_cdf,
@@ -228,6 +227,25 @@ class TestIntegrationRule:
         assert r.power_value == wp_quantile(F, G, 2.0).power_value
         assert r.error_estimate == 0.0
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "F, G",
+        [
+            (Uniform(0, 1), Uniform(-0.5, 2)),
+            (Normal(0, 1), Normal(1, 2)),
+            (Exponential(2.0), Exponential(1.0)),
+            (Normal(0.5, 2.0), Empirical([(-1, 1), (2, 3)])),
+            (Uniform(0, 1), G_RUN),
+        ],
+        ids=["uniform-pair", "normal-pair", "exponential-pair", "normal-atoms", "uniform-atoms"],
+    )
+    def test_via_m_is_quadrature_on_closed_form_pairs(self, F, G, p):
+        # wp_via_M never takes the closed-form cells: it checks them
+        cells, quad = wp_quantile(F, G, p), wp_via_M(F, G, p)
+        assert cells.error_estimate == 0.0
+        assert quad.error_estimate > 0.0
+        assert abs(quad.power_value - cells.power_value) <= 1e-8 * (1.0 + cells.power_value)
+
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
     @pytest.mark.parametrize(
         "call",
@@ -235,10 +253,10 @@ class TestIntegrationRule:
             lambda tol: wp_quantile(F_RUN, G_RUN, 2.0, tol),
             lambda tol: wp_via_M(F_RUN, G_RUN, 2.0, tol),
             lambda tol: w1_cdf(F_RUN, G_RUN, tol),
-            lambda tol: expect_comonotone(Uniform(0, 1), G_RUN, lambda x, y: x - y, tol),
+            lambda tol: wp_via_M(Uniform(0, 1), G_RUN, 2.0, tol),
             lambda tol: wpq_bounds(None, (F_RUN,), (G_RUN,), 2, 1, tol),
         ],
-        ids=["wp_quantile", "wp_via_M", "w1_cdf", "expect_comonotone", "wpq_bounds"],
+        ids=["wp_quantile", "wp_via_M", "w1_cdf", "wp_via_M_quad", "wpq_bounds"],
     )
     def test_tolerance_must_be_positive(self, call, tol):
         with pytest.raises(ValueError, match="tolerance must be > 0"):
