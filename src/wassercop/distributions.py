@@ -38,7 +38,7 @@ def _require_finite(x: float, what: str) -> float:
 
 def _check_u(u: float) -> float:
     u = float(u)
-    if math.isnan(u) or u < 0.0 or u > 1.0:
+    if not 0.0 <= u <= 1.0:  # also rejects NaN
         raise ValueError(f"probability level must lie in [0, 1], got {u!r}")
     return u
 
@@ -62,10 +62,6 @@ class Distribution1D:
         """int_{u0}^{u1} |F^{-1}(u) - y|^p du for 0 <= u0 <= u1 <= 1, or
         None where the law has no closed form at this order."""
         return None
-
-    def cumulative_breakpoints(self) -> tuple[float, ...]:
-        """Interior jump levels of the quantile staircase (empty if none)."""
-        return ()
 
 
 # weights of these types read out their own exact ratio; any other weight
@@ -149,9 +145,6 @@ class Empirical(Distribution1D):
 
     def cumulative(self) -> tuple[float, ...]:
         return self._cum
-
-    def cumulative_breakpoints(self) -> tuple[float, ...]:
-        return self._cum[:-1]
 
     def cdf(self, x: float) -> float:
         x = _require_finite(x, "cdf argument")

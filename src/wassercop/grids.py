@@ -7,11 +7,14 @@ from typing import Callable, Sequence
 # Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], so quadrature
 # skips the levels beyond the clamp. That is not always negligible: for a slow
 # tail at p = 3, wp_via_M(Exponential(0.5), Empirical([(0, 3), (4, 1)]), 3)
-# is 1.5e-7 below the closed form. ROADMAP item 2 plans tail cells in
+# is 1.5e-7 below the closed form. ROADMAP item 3 plans tail cells in
 # t = -log(1 - u) to close the gap.
 U_CLAMP = 1e-12
 
 DEFAULT_QUAD_TOL = 1e-8
+
+# a piece of a piecewise integrand: (f, lo, hi), f integrated over [lo, hi]
+Cell = tuple[Callable[[float], float], float, float]
 
 
 class InputError(ValueError):
@@ -48,9 +51,11 @@ def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float, points=None):
     return value, err, message[0] if message else None
 
 
-def quad_cells(f: Callable[[float], float], edges: Sequence[float], tol: float) -> tuple[float, float]:
-    """Integrate f over [edges[0], edges[-1]] with one adaptive quad per cell
-    between consecutive edges, returning (value, error_estimate).
+def quad_cells(cells: Sequence[Cell], tol: float) -> tuple[float, float]:
+    """Integrate a piecewise integrand over [cells[0][1], cells[-1][2]],
+    given as (f, lo, hi) cells in order, each hi the next cell's lo, with
+    one adaptive quad of that cell's f per cell. Returns (value,
+    error_estimate).
 
     Each cell gets the relative tolerance tol and its share of the absolute
     tolerance tol in proportion to its width; the error estimate is the sum
@@ -60,10 +65,10 @@ def quad_cells(f: Callable[[float], float], edges: Sequence[float], tol: float) 
     quad gives up on it again, QuadratureError is raised unless the summed
     estimate still meets tol, absolute or relative, for the whole integral.
     """
-    span = edges[-1] - edges[0]
+    span = cells[-1][2] - cells[0][1]
     values, errors = [], []
     failed = None
-    for lo, hi in zip(edges, edges[1:]):
+    for f, lo, hi in cells:
         epsabs = tol * (hi - lo) / span
         value, err, message = _quad(f, lo, hi, epsabs, tol)
         if message is not None:
@@ -81,17 +86,15 @@ def quad_cells(f: Callable[[float], float], edges: Sequence[float], tol: float) 
     return value, err
 
 
-def integrate_unit(
-    f: Callable[[float], float],
-    tol: float | None = None,
-    breakpoints: Sequence[float] = (),
-) -> tuple[float, float]:
-    """Integrate f over (0, 1) to tol (None: DEFAULT_QUAD_TOL), returning
-    (value, error_estimate).
+def integrate_unit(cells: Sequence[Cell], tol: float | None = None) -> tuple[float, float]:
+    """Integrate a piecewise integrand over (0, 1) to tol (None:
+    DEFAULT_QUAD_TOL), returning (value, error_estimate).
 
-    breakpoints are interior points where f may jump or kink (cumulative
-    weights of atomic inputs, sign changes of a difference); each cell
-    between them is integrated on its own (quad_cells).
+    cells are (f, lo, hi) in order that tile [0, 1], cut where the
+    integrand may jump or kink (an atom's cell of levels, a sign change of
+    a difference). They are cut to [U_CLAMP, 1 - U_CLAMP], and each is
+    integrated on its own (quad_cells).
     """
-    pts = sorted({b for b in breakpoints if U_CLAMP < b < 1.0 - U_CLAMP})
-    return quad_cells(f, [U_CLAMP, *pts, 1.0 - U_CLAMP], quad_tol(tol))
+    top = 1.0 - U_CLAMP
+    cut = ((f, max(lo, U_CLAMP), min(hi, top)) for f, lo, hi in cells)
+    return quad_cells([cell for cell in cut if cell[1] < cell[2]], quad_tol(tol))

@@ -82,17 +82,65 @@ def _report(p: float, power: float, method: Method, err: float, **kw) -> Distanc
 
 def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> DistanceReport:
     """W_1 as the area between the distribution functions, int |F - G| dx:
-    an exact sum for two atomic laws, else quadrature to tol (None: 1e-10)."""
+    an exact sum for two atomic laws, else quadrature to tol (None: 1e-10)
+    between both laws' quantiles at U_CLAMP and 1 - U_CLAMP, split at
+    _cdf_kinks. Against an atomic G each cell between atoms, where G reads
+    a constant level c, splits again where F crosses c, at F^{-1}(c)."""
     tol = quad_tol(tol, 1e-10)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
     lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
     hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
-    pts = sorted(
-        {x for d in (F, G) if isinstance(d, Empirical) for x in d.locations if lo < x < hi}
-    )
-    value, err = quad_cells(lambda x: abs(F.cdf(x) - G.cdf(x)), [lo, *pts, hi], tol)
+    if isinstance(F, Empirical):
+        F, G = G, F
+    edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]
+    fc, gc = F.cdf, G.cdf
+    if isinstance(G, Empirical):
+        crossings = []
+        for a, b in zip(edges, edges[1:]):
+            c = gc(a)
+            x = F.quantile(c) if 0.0 < c < 1.0 else a
+            if a < x < b:
+                crossings.append(x)
+        edges = sorted([*edges, *crossings])
+    f = lambda x: abs(fc(x) - gc(x))
+    value, err = quad_cells([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
+
+
+def _crossing(F: Distribution1D, G: Distribution1D) -> float | None:
+    """Where two Normal or two Uniform laws of unequal scale cross, in
+    standard units: the z with mu1 + sigma1 z = mu2 + sigma2 z, or the t
+    with a1 + w1 t = a2 + w2 t (w a width); None for any other pair. The
+    quantiles cross there at level Phi(z) or t, and the CDFs at the point
+    mu1 + sigma1 z or a1 + w1 t."""
+    if type(F) is type(G) is Normal and F.stddev != G.stddev:
+        return (F.mean - G.mean) / (G.stddev - F.stddev)
+    if type(F) is type(G) is Uniform:
+        wf, wg = F.b - F.a, G.b - G.a
+        if wf != wg:
+            return (F.a - G.a) / (wg - wf)
+    return None
+
+
+def _cdf_kinks(F: Distribution1D, G: Distribution1D) -> list[float]:
+    """Points where |F(x) - G(x)| may jump or kink, for a parametric F.
+
+    Against an atomic G: its atoms and the finite ends of F's support
+    (w1_cdf splits each cell again where F crosses G's level). For two laws
+    of one family: their _crossing, and a Uniform law's ends; without them
+    quad misses w1_cdf's tolerance by up to 1e-6 absolute. Laws of two
+    families get none: their crossings are not known, and an end split off
+    without the crossing can leave quad a cell that fools it."""
+    if isinstance(G, Empirical):
+        if isinstance(F, Uniform):
+            return [F.a, F.b, *G.locations]
+        return [0.0, *G.locations] if isinstance(F, Exponential) else list(G.locations)
+    s = _crossing(F, G)
+    if type(F) is type(G) is Uniform:
+        ends = [F.a, F.b, G.a, G.b]
+        return ends if s is None else [*ends, F.a + (F.b - F.a) * s]
+    return [] if s is None else [F.mean + F.stddev * s]
 
 
 def _w1_cdf_empirical(F: Empirical, G: Empirical) -> float:
@@ -148,60 +196,46 @@ def _same_family_power(F: Distribution1D, G: Distribution1D, p: float) -> float 
     return abs(shift) ** p if law is None else law.quantile_cell(0.0, 1.0, 0.0, p)
 
 
+def _atom_cells(G: Empirical):
+    """(y, prev, c) for each atom y of G and its cell of levels (prev, c],
+    on which G^{-1} is y."""
+    levels = G.cumulative()
+    return zip(G.locations, (0.0, *levels), levels)
+
+
 def _closed_form_power(F: Distribution1D, G: Distribution1D, p: float) -> float | None:
     """W_p^p by closed-form cells, or None where a cell has none.
 
-    Against an atomic law G, walk G's levels: on the cell (prev, c] G^{-1}
-    is its atom y, and F's cell integral is in closed form (a parametric law
-    has no levels of its own). Two parametric laws of one family reduce to
-    one law (_same_family_power)."""
+    Against an atomic law G, walk G's cells (_atom_cells): on each, F's
+    cell integral against the atom is in closed form (a parametric law has
+    no levels of its own). Two parametric laws of one family reduce to one
+    law (_same_family_power)."""
     if isinstance(F, Empirical):
         F, G = G, F
     if not isinstance(G, Empirical):
         return _same_family_power(F, G, p)
     terms = []
-    prev = 0.0
-    for y, c in zip(G.locations, G.cumulative()):
+    for y, prev, c in _atom_cells(G):
         cell = F.quantile_cell(prev, c, y, p)
         if cell is None:
             return None
         terms.append(cell)
-        prev = c
     return math.fsum(terms)
 
 
 def _kinks(F: Distribution1D, G: Distribution1D, p: float) -> list[float]:
-    """Levels inside a cell where F^{-1}(u) - G^{-1}(u) changes sign, for
-    p < 2: there |F^{-1} - G^{-1}|^p is not twice differentiable, and quad
-    misses its tolerance (by up to 1e-4 relative at p = 1) unless the cell
-    is split. At p >= 2 a split only makes a steeper cell end. The levels
-    are F(y) for each atom y of an atomic G whose cell holds it, or the
-    closed-form crossing of two Normal or two Uniform laws; other pairs
-    give none."""
-    if p >= 2.0:
+    """Levels where F^{-1}(u) - G^{-1}(u) changes sign, for two parametric
+    laws at p < 2: there |F^{-1} - G^{-1}|^p is not twice differentiable,
+    and quad misses its tolerance (by up to 1e-4 relative at p = 1) unless
+    the cell is split. At p >= 2 a split only makes a steeper cell end. The
+    level is that of the _crossing of two Normal or two Uniform laws; other
+    pairs give none. (Against an atomic law, _comonotone_power splits each
+    atom's cell at its own crossing.)"""
+    s = None if p >= 2.0 else _crossing(F, G)
+    if s is None:
         return []
-    if isinstance(F, Empirical):
-        F, G = G, F
-    if isinstance(G, Empirical):
-        if isinstance(F, Empirical):
-            return []
-        levels = []
-        prev = 0.0
-        for y, c in zip(G.locations, G.cumulative()):
-            u = F.cdf(y)
-            if prev < u < c:
-                levels.append(u)
-            prev = c
-        return levels
-    if type(F) is type(G) is Normal and F.stddev != G.stddev:
-        # mu + sigma z = 0 at z = -mu / sigma
-        z = (F.mean - G.mean) / (F.stddev - G.stddev)
-        return [0.5 * math.erfc(z / math.sqrt(2.0))]
-    if type(F) is type(G) is Uniform:
-        alpha, beta = F.a - G.a, (F.b - F.a) - (G.b - G.a)
-        if beta != 0.0 and 0.0 < -alpha / beta < 1.0:
-            return [-alpha / beta]
-    return []
+    level = 0.5 * math.erfc(-s / math.sqrt(2.0)) if isinstance(F, Normal) else s
+    return [level] if 0.0 < level < 1.0 else []
 
 
 def _comonotone_power(
@@ -210,15 +244,35 @@ def _comonotone_power(
     """W_p^p along the comonotone coupling (F^{-1}(U), G^{-1}(U)) and its
     error estimate: an exact sum over comonotone_cells for two atomic laws
     (error 0.0), else quadrature of |F^{-1}(u) - G^{-1}(u)|^p to tol (None:
-    DEFAULT_QUAD_TOL), split at both laws' jump levels and at _kinks."""
+    DEFAULT_QUAD_TOL).
+
+    Against an atomic G the quadrature walks G's cells (_atom_cells) and
+    integrates |F^{-1}(u) - y|^p against each cell's own atom y; at p < 2
+    a cell that holds F(y) splits there, where the integrand kinks. Two
+    parametric laws split at _kinks."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
         cells = comonotone_cells(F, G)
         return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, _, m in cells]), 0.0
-    breaks = [*F.cumulative_breakpoints(), *G.cumulative_breakpoints(), *_kinks(F, G, p)]
-    fq, gq = F.quantile, G.quantile
-    return integrate_unit(lambda u: abs(fq(u) - gq(u)) ** p, tol, breaks)
+    if isinstance(F, Empirical):
+        F, G = G, F
+    if not isinstance(G, Empirical):
+        fq, gq = F.quantile, G.quantile
+        f = lambda u: abs(fq(u) - gq(u)) ** p
+        edges = [0.0, *_kinks(F, G, p), 1.0]
+        return integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
+    pieces = []
+    for y, prev, c in _atom_cells(G):
+        f = _quantile_gap(F.quantile, y, p)
+        u = F.cdf(y) if p < 2.0 else prev  # u = prev splits no cell
+        pieces += [(f, prev, u), (f, u, c)] if prev < u < c else [(f, prev, c)]
+    return integrate_unit(pieces, tol)
+
+
+def _quantile_gap(quantile, y: float, p: float):
+    """u -> |quantile(u) - y|^p: the integrand where the other quantile is y."""
+    return lambda u: abs(quantile(u) - y) ** p
 
 
 def wp_quantile(

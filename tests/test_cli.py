@@ -164,6 +164,20 @@ class TestGridArguments:
         assert out == ""
         assert err.startswith("error: quadrature failed on the cell") and len(err.splitlines()) == 1
 
+    def test_unreachable_tolerance_names_the_first_failed_cell(self, tmp_path, capsys):
+        # against atoms -1 and 1 the first cell runs from the clamp to
+        # F(-1) = Phi(-1), where |F^{-1}(u) + 1| kinks at p = 1
+        a = tmp_path / "N.json"
+        b = tmp_path / "atoms.csv"
+        a.write_text(json.dumps({"kind": "normal", "mean": 0, "stddev": 1}))
+        b.write_text("x\n-1\n1\n")
+        argv = ["compute", str(a), str(b), "--p", "1", "--method", "via-m", "--grid-tol", "1e-300"]
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: quadrature failed on the cell [1e-12, 0.15865525393145707]: ")
+
 
 class TestOrderArguments:
     """In process through cli.main: --p and --q must be finite and >= 1 (exit 2)."""
