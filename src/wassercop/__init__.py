@@ -4,12 +4,10 @@ an exact discrete optimal-transport oracle."""
 from .copulas import (
     ComonotonePair,
     EmpiricalCopula,
-    FHCheck,
     comonotone_coupling,
     discretize_joint,
     eval_M,
     eval_W,
-    frechet_hoeffding_check,
 )
 from .distributions import (
     Distribution1D,
@@ -26,7 +24,6 @@ from .oracle import (
     brute_force_assignment,
     norm_cost,
     power_cost,
-    solve_assignment,
     solve_ot,
 )
 from .wasserstein import (
@@ -51,7 +48,6 @@ __all__ = [
     "Empirical",
     "EmpiricalCopula",
     "Exponential",
-    "FHCheck",
     "InputError",
     "Method",
     "Normal",
@@ -63,10 +59,8 @@ __all__ = [
     "empirical_from_samples",
     "eval_M",
     "eval_W",
-    "frechet_hoeffding_check",
     "norm_cost",
     "power_cost",
-    "solve_assignment",
     "solve_ot",
     "w1_cdf",
     "wp_lower_bound_nd",

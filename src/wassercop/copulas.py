@@ -4,12 +4,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
 from .grids import InputError
 
-FH_TOL = 1e-12
 # midpoint cells of comonotone_coupling for a non-atomic pair, by default
 COUPLING_GRID_N = 1000
 
@@ -92,32 +91,6 @@ class EmpiricalCopula:
 
     def __repr__(self):
         return f"EmpiricalCopula(n={self.n}, dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class FHCheck:
-    lower: float
-    value: float
-    upper: float
-    ok: bool
-
-
-def frechet_hoeffding_check(
-    c: EmpiricalCopula,
-    u: Sequence[float],
-    evaluator: Callable[[EmpiricalCopula, Sequence[float]], float] | None = None,
-) -> FHCheck:
-    """Check W^d(u) <= C(u) <= M^d(u) at u, with the 1/n discretization slack.
-
-    evaluator exists so a corrupted evaluation path can be checked against
-    the bounds; it defaults to EmpiricalCopula.eval.
-    """
-    lower = eval_W(u)
-    upper = eval_M(u)
-    value = (evaluator or EmpiricalCopula.eval)(c, u)
-    tol = FH_TOL + 1.0 / c.n
-    ok = lower - tol <= value <= upper + tol
-    return FHCheck(lower=lower, value=value, upper=upper, ok=ok)
 
 
 def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, float, float]]:

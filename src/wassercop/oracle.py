@@ -36,6 +36,8 @@ def power_cost(p: float) -> Cost:
 
 def norm_cost(p: float, q: float) -> Cost:
     """(q-norm of x - y)^p, the integrand of the W_{p,q} power."""
+    check_order(p)
+    check_order(q, "q")
 
     def c(x, y):
         return math.fsum(abs(a - b) ** q for a, b in zip(x, y)) ** (p / q)
@@ -238,9 +240,8 @@ def solve_ot(
         raise ValueError(f"instance exceeds the atom cap of {atom_cap}")
     C = _cost_matrix(mu, nu, cost)
     if _equal_uniform(mu, nu):
-        _, perm = _assignment_from_matrix(C)
         w = Fraction(1, len(mu))
-        entries = tuple((i, j, w) for i, j in enumerate(perm))
+        entries = tuple((i, j, w) for i, j in enumerate(_assignment_from_matrix(C)))
     else:
         # pivot on integers: both measures scaled to the common denominator L
         L = math.lcm(mu.total, nu.total)
@@ -256,7 +257,10 @@ def solve_ot(
     return value, coupling
 
 
-def _assignment_from_matrix(C: list[list[float]]) -> tuple[float, tuple[int, ...]]:
+def _assignment_from_matrix(C: list[list[float]]) -> tuple[int, ...]:
+    """The optimal permutation, row i to column perm[i]: at uniform masses
+    the extreme points of the transportation polytope are permutation
+    matrices, so the problem is an assignment problem."""
     import numpy as np
     from scipy.optimize import linear_sum_assignment
 
@@ -264,22 +268,7 @@ def _assignment_from_matrix(C: list[list[float]]) -> tuple[float, tuple[int, ...
     perm = [0] * len(C)
     for i, j in zip(rows, cols):
         perm[i] = int(j)
-    value = math.fsum(C[i][perm[i]] for i in range(len(C))) / len(C)
-    return value, tuple(perm)
-
-
-def solve_assignment(
-    mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: Cost
-) -> tuple[float, tuple[int, ...]]:
-    """Optimal coupling value for equal-count uniform-mass measures.
-
-    At uniform masses the extreme points of the transportation polytope are
-    permutation matrices, so the problem is an assignment problem; the value
-    is (1/n) min over permutations of the pairing cost.
-    """
-    if not _equal_uniform(mu, nu):
-        raise ValueError("assignment route needs equal atom counts with uniform masses")
-    return _assignment_from_matrix(_cost_matrix(mu, nu, cost))
+    return tuple(perm)
 
 
 def brute_force_assignment(

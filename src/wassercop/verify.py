@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .copulas import discretize_joint, frechet_hoeffding_check
+from .copulas import discretize_joint, eval_M, eval_W
 from .distributions import Empirical, Uniform
 from .instances import (
     necessity_instance,
@@ -27,7 +27,6 @@ from .oracle import (
     brute_force_assignment,
     norm_cost,
     power_cost,
-    solve_assignment,
     solve_ot,
 )
 from .wasserstein import (
@@ -54,6 +53,24 @@ class SuiteResult:
     detail: str = ""
 
 
+class _Tally:
+    """A suite's running verdict: whether every check passed, the largest
+    gap seen (from worst, its starting value) and the number of checks."""
+
+    def __init__(self, worst: float = 0.0):
+        self.ok = True
+        self.worst = worst
+        self.checks = 0
+
+    def check(self, passed: bool, gap: float = -math.inf) -> None:
+        self.ok = self.ok and passed
+        self.worst = max(self.worst, gap)
+        self.checks += 1
+
+    def result(self, name: str, detail: str = "") -> SuiteResult:
+        return SuiteResult(name, self.ok, self.worst, self.checks, detail)
+
+
 def _shift(corrupt: bool) -> float:
     return CORRUPT_SHIFT if corrupt else 0.0
 
@@ -67,19 +84,15 @@ def suite_comonotone_optimality(
 ) -> SuiteResult:
     """Quantile-integral power equals the LP minimum, p in {1, 2, 3}."""
     rng = random.Random(seed)
-    worst = 0.0
-    checks = 0
-    ok = True
+    tally = _Tally()
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
         mu, nu = DiscreteMeasureND.from_empirical(F), DiscreteMeasureND.from_empirical(G)
         for p in (1.0, 2.0, 3.0):
             lp, _ = solve_ot(mu, nu, power_cost(p))
             gap = abs(lp - (wp_quantile(F, G, p).power_value + _shift(corrupt)))
-            worst = max(worst, gap / max(1.0, lp))
-            ok = ok and gap <= 1e-9 * max(1.0, lp)
-            checks += 1
-    return SuiteResult("comonotone_optimality", ok, worst, checks)
+            tally.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
+    return tally.result("comonotone_optimality")
 
 
 def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -> SuiteResult:
@@ -88,44 +101,35 @@ def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -
     the CDF route at p = 1 is the independent leg here; the comonotone
     suite checks the shared one against the LP."""
     rng = random.Random(seed)
-    worst = 0.0
-    checks = 0
+    tally = _Tally()
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
         q1 = wp_quantile(F, G, 1.0).power_value + _shift(corrupt)
-        worst = max(worst, abs(w1_cdf(F, G).power_value - q1))
-        checks += 1
+        gap = abs(w1_cdf(F, G).power_value - q1)
+        tally.check(gap <= 1e-10, gap)
         for p in (1.0, 2.0, 3.0):
             quantile = wp_quantile(F, G, p).power_value + _shift(corrupt)
-            worst = max(worst, abs(wp_via_M(F, G, p).power_value - quantile))
-            checks += 1
-    return SuiteResult("formula_triangle", worst <= 1e-10, worst, checks)
+            gap = abs(wp_via_M(F, G, p).power_value - quantile)
+            tally.check(gap <= 1e-10, gap)
+    return tally.result("formula_triangle")
 
 
 def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -> SuiteResult:
     """Identity, symmetry and the triangle inequality, p in {1, 2}."""
     rng = random.Random(seed)
-    worst = 0.0
-    ok = True
-    checks = 0
+    tally = _Tally()
     for _ in range(triples):
         mu, nu, rho = (random_empirical(rng) for _ in range(3))
         for p in (1.0, 2.0):
-            if wp_quantile(mu, mu, p).value != 0.0:
-                ok = False
+            tally.check(wp_quantile(mu, mu, p).value == 0.0)
             ab = wp_quantile(mu, nu, p).value + _shift(corrupt)
             ba = wp_quantile(nu, mu, p).value
             ac = wp_quantile(mu, rho, p).value
             cb = wp_quantile(rho, nu, p).value
-            worst = max(worst, abs(ab - ba))
-            if abs(ab - ba) > 1e-12:
-                ok = False
+            tally.check(abs(ab - ba) <= 1e-12, abs(ab - ba))
             violation = ab - (ac + cb)
-            worst = max(worst, violation)
-            if violation > 1e-10:
-                ok = False
-            checks += 3
-    return SuiteResult("metric_axioms", ok, worst, checks)
+            tally.check(violation <= 1e-10, violation)
+    return tally.result("metric_axioms")
 
 
 def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
@@ -135,9 +139,7 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
     the discrete measures feed the one-dimensional quantile formula.
     """
     rng = random.Random(seed)
-    worst = 0.0
-    ok = True
-    checks = 0
+    tally = _Tally()
     for k in range(count):
         d = 2 + (k % 2)
         C, mf, mg = random_shared_instance(rng, d)
@@ -148,10 +150,8 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
             lp, _ = solve_ot(mu, nu, power_cost(p))
             formula = wp_shared_nd(C, fm, gm, p).power_value + _shift(corrupt)
             gap = abs(lp - formula)
-            worst = max(worst, gap / max(1.0, lp))
-            ok = ok and gap <= 1e-9 * max(1.0, lp)
-            checks += 1
-    return SuiteResult("decomposition", ok, worst, checks)
+            tally.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
+    return tally.result("decomposition")
 
 
 def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
@@ -161,47 +161,47 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
     mu, nu = necessity_instance()
     lp, _ = solve_ot(mu, nu, power_cost(2.0))
     naive = wp_lower_bound_nd(_margins(mu), _margins(nu), 2.0) + _shift(corrupt)
-    ok = lp >= 0.1 and naive == 0.0
+    tally = _Tally()
+    tally.check(lp >= 0.1 and naive == 0.0)
     detail = f"witness: lp={lp!r}, coordinatewise sum={naive!r}"
-    worst = 0.0
-    checks = 1
     for k in range(count):
         d = 2 + (k % 2)
         a = random_discrete_nd(rng, d)
         b = random_discrete_nd(rng, d)
         lp, _ = solve_ot(a, b, power_cost(2.0))
         lower = wp_lower_bound_nd(_margins(a), _margins(b), 2.0) + _shift(corrupt)
-        worst = max(worst, lower - lp)
-        ok = ok and lp >= lower - 1e-10
-        checks += 1
-    return SuiteResult("necessity", ok, worst, checks, detail)
+        tally.check(lp >= lower - 1e-10, lower - lp)
+    return tally.result("necessity", detail)
 
 
 def suite_frechet_hoeffding(
     seed: int, evaluations: int = 10_000, corrupt: bool = False
 ) -> SuiteResult:
-    """W <= C <= M on random evaluations of empirical copulas, d in {2, 3, 4}.
+    """W(u) - s <= C(u) <= M(u) + s on random evaluations of empirical
+    copulas, d in {2, 3, 4}, with the slack s = 1/n + 1e-12 of an n-row
+    rank copula. The gap is the excess over that slack.
 
-    corrupt=True evaluates 1 - C(u), since a small shift hides in the 1/n slack.
+    corrupt=True evaluates 1 - C(u), since a small shift hides in the slack.
     """
     rng = random.Random(seed)
-    ok = True
-    worst = -math.inf
+    tally = _Tally(-math.inf)
     copulas = [
         random_empirical_copula(rng, rng.randint(2, 20), d)
         for d in (2, 3, 4)
         for _ in range(5)
     ]
-    evaluator = (lambda c, u: 1.0 - c.eval(u)) if corrupt else None
     for k in range(evaluations):
         c = copulas[k % len(copulas)]
         slack = 1.0 / c.n + 1e-12
         u = tuple(rng.random() for _ in range(c.dim))
-        r = frechet_hoeffding_check(c, u, evaluator)
-        ok = ok and r.ok
-        # excess over the permitted 1/n discretization slack
-        worst = max(worst, r.lower - r.value - slack, r.value - r.upper - slack)
-    return SuiteResult("frechet_hoeffding", ok, worst, evaluations)
+        lower, value, upper = eval_W(u), c.eval(u), eval_M(u)
+        if corrupt:
+            value = 1.0 - value
+        tally.check(
+            lower - slack <= value <= upper + slack,
+            max(lower - value - slack, value - upper - slack),
+        )
+    return tally.result("frechet_hoeffding")
 
 
 def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> SuiteResult:
@@ -211,9 +211,7 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
     hides in the gap between the LP and the bounds.
     """
     rng = random.Random(seed)
-    ok = True
-    worst = -math.inf
-    checks = 0
+    tally = _Tally(-math.inf)
     for p, q in ((1.0, 2.0), (2.0, 1.0), (2.0, 3.0), (3.0, 2.0)):
         for d in (2, 3):
             for _ in range(per_case):
@@ -226,10 +224,8 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
                 if corrupt:
                     s, wrong = report.power_value, d ** (q / p - 1.0)
                     lo, hi = (s, wrong * s) if q < p else (wrong * s, s)
-                ok = ok and lo - 1e-10 <= lp <= hi + 1e-10
-                worst = max(worst, lo - lp, lp - hi)
-                checks += 1
-    return SuiteResult("wpq_sandwich", ok, worst, checks)
+                tally.check(lo - 1e-10 <= lp <= hi + 1e-10, max(lo - lp, lp - hi))
+    return tally.result("wpq_sandwich")
 
 
 def suite_continuous_sanity(
@@ -239,29 +235,26 @@ def suite_continuous_sanity(
     quadrature along the comonotone coupling and, within 2%, by the
     discretized LP. The seed is unused: the instance is fixed."""
     F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
+    tally = _Tally()
     cells = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
     quad = wp_via_M(F, G, 2.0).power_value + _shift(corrupt)
-    gap_formula = max(abs(cells - 1.0 / 3.0), abs(quad - 1.0 / 3.0))
+    for formula in (cells, quad):
+        gap = abs(formula - 1.0 / 3.0)
+        tally.check(gap <= 1e-8, gap)
     mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=atoms)
     gap_lp = abs(lp - 1.0 / 3.0) / (1.0 / 3.0)
-    ok = gap_formula <= 1e-8 and gap_lp <= 0.02
-    return SuiteResult(
-        "continuous_sanity",
-        ok,
-        max(gap_formula, gap_lp),
-        3,
-        f"cells={cells!r}, quad={quad!r}, lp={lp!r}",
-    )
+    tally.check(gap_lp <= 0.02, gap_lp)
+    return tally.result("continuous_sanity", f"cells={cells!r}, quad={quad!r}, lp={lp!r}")
 
 
 def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> SuiteResult:
-    """Assignment solver equals exhaustive enumeration for n <= 6."""
+    """solve_ot on equal-count, equal-mass instances equals exhaustive
+    enumeration for n <= 6: its coupling, priced as the fsum of its entries'
+    costs over n, is the n! minimum exactly."""
     rng = random.Random(seed)
-    ok = True
-    worst = 0.0
-    checks = 0
+    tally = _Tally()
     for _ in range(count):
         n = rng.randint(1, 6)
         d = rng.randint(1, 3)
@@ -274,13 +267,12 @@ def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> Suite
         if len(mu) != n or len(nu) != n:  # duplicate merge would break uniformity
             continue
         cost = power_cost(2.0)
-        fast, _ = solve_assignment(mu, nu, cost)
-        brute = brute_force_assignment(mu, nu, cost)
-        gap = abs(fast + _shift(corrupt) - brute)
-        worst = max(worst, gap)
-        ok = ok and gap == 0.0
-        checks += 1
-    return SuiteResult("assignment", ok, worst, checks)
+        _, coupling = solve_ot(mu, nu, cost)
+        xs, ys = mu.locations, nu.locations
+        priced = math.fsum(cost(xs[i], ys[j]) for i, j, _ in coupling.entries) / n
+        gap = abs(priced + _shift(corrupt) - brute_force_assignment(mu, nu, cost))
+        tally.check(gap == 0.0, gap)
+    return tally.result("assignment")
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .copulas import EmpiricalCopula, comonotone_cells
 from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
-from .grids import U_CLAMP, InputError, integrate_unit, quad_cells, quad_tol
+from .grids import U_CLAMP, InputError, QuadratureError, integrate_unit, quad_cells, quad_tol
 
 
 class Method(str, Enum):
@@ -91,6 +91,11 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
     lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
     hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
+    if not lo < hi:
+        # e.g. N(1e20, 1) and N(1e20, 2): every clamped quantile rounds to 1e20
+        raise QuadratureError(
+            f"the cdf route cannot resolve the range [{lo!r}, {hi!r}] of these laws in floats"
+        )
     if isinstance(F, Empirical):
         F, G = G, F
     edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]

@@ -178,6 +178,19 @@ class TestGridArguments:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: quadrature failed on the cell [1e-12, 0.15865525393145707]: ")
 
+    def test_range_without_width_exit_4(self, tmp_path, capsys):
+        # every clamped quantile of N(1e20, 1) and N(1e20, 2) rounds to 1e20,
+        # so the cdf route has no range to integrate over
+        a = tmp_path / "N1.json"
+        b = tmp_path / "N2.json"
+        a.write_text(json.dumps({"kind": "normal", "mean": 1e20, "stddev": 1}))
+        b.write_text(json.dumps({"kind": "normal", "mean": 1e20, "stddev": 2}))
+        assert main(["compute", str(a), str(b), "--p", "1", "--method", "cdf"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "division" not in err and "[1e+20, 1e+20]" in err
+
 
 class TestOrderArguments:
     """In process through cli.main: --p and --q must be finite and >= 1 (exit 2)."""

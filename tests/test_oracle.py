@@ -15,13 +15,13 @@ from wassercop import (
     discretize_joint,
     norm_cost,
     power_cost,
-    solve_assignment,
     solve_ot,
     wp_lower_bound_nd,
     wp_quantile,
     wp_shared_nd,
     wpq_bounds,
 )
+from wassercop import oracle
 from wassercop.instances import necessity_instance, random_discrete_nd, random_empirical
 
 HALF = Fraction(1, 2)
@@ -123,12 +123,21 @@ class TestSolveOt:
             solve_ot(mu, mu, lambda x, y: math.nan)
 
 
-class TestSolveAssignment:
+def priced(coupling, cost):
+    """fsum of the costs of a coupling's entries over n: for a permutation
+    coupling of n atoms each, the same sum brute_force_assignment takes."""
+    xs, ys = coupling.source.locations, coupling.target.locations
+    return math.fsum(cost(xs[i], ys[j]) for i, j, _ in coupling.entries) / len(xs)
+
+
+class TestAssignmentPath:
+    """solve_ot on equal-count uniform-mass measures, its assignment path."""
+
     def test_single_atom(self):
         mu = DiscreteMeasureND([((1.0,), 1)])
         nu = DiscreteMeasureND([((4.0,), 1)])
-        value, perm = solve_assignment(mu, nu, power_cost(2))
-        assert value == pytest.approx(9.0) and perm == (0,)
+        value, coupling = solve_ot(mu, nu, power_cost(2))
+        assert value == pytest.approx(9.0) and coupling.entries == ((0, 0, Fraction(1)),)
 
     def test_sorted_pairing_for_convex_cost(self):
         rng = random.Random(29)
@@ -138,7 +147,7 @@ class TestSolveAssignment:
         ys = sorted(rng.uniform(-3, 3) for _ in range(n))
         mu = DiscreteMeasureND([((x,), w) for x in xs])
         nu = DiscreteMeasureND([((y,), w) for y in ys])
-        value, perm = solve_assignment(mu, nu, power_cost(2))
+        value, _ = solve_ot(mu, nu, power_cost(2))
         sorted_value = math.fsum(abs(x - y) ** 2 for x, y in zip(xs, ys)) / n
         assert value == pytest.approx(sorted_value, rel=1e-12)
 
@@ -154,7 +163,8 @@ class TestSolveAssignment:
                 [((rng.uniform(-2, 2), rng.uniform(-2, 2)), w) for _ in range(n)]
             )
             cost = power_cost(3)
-            assert solve_assignment(mu, nu, cost)[0] == brute_force_assignment(mu, nu, cost)
+            _, coupling = solve_ot(mu, nu, cost)
+            assert priced(coupling, cost) == brute_force_assignment(mu, nu, cost)
 
     def test_matches_simplex(self):
         rng = random.Random(39)
@@ -162,17 +172,24 @@ class TestSolveAssignment:
         w = Fraction(1, n)
         mu = DiscreteMeasureND([((rng.uniform(-2, 2),), w) for _ in range(n)])
         nu = DiscreteMeasureND([((rng.uniform(-2, 2),), w) for _ in range(n)])
-        # perturb one mass pair so solve_ot takes the simplex route
-        atoms = list(zip(mu.locations, mu.masses))
-        fast, _ = solve_assignment(mu, nu, power_cost(2))
-        via_ot, _ = solve_ot(mu, nu, power_cost(2))
-        assert abs(fast - via_ot) <= 1e-12
+        fast, _ = solve_ot(mu, nu, power_cost(2))
+        # the same instance through the transportation simplex, which
+        # solve_ot skips at equal uniform masses
+        C = oracle._cost_matrix(mu, nu, power_cost(2))
+        basis = oracle._transportation_simplex([1] * n, [1] * n, C)
+        simplex = math.fsum(k * C[i][j] for (i, j), k in basis.items()) / n
+        assert abs(fast - simplex) <= 1e-12
 
     def test_unequal_masses_rejected(self):
         mu = measure_1d(F_RUN)
         nu = measure_1d(G_RUN)
         with pytest.raises(ValueError):
-            solve_assignment(mu, nu, power_cost(1))
+            brute_force_assignment(mu, nu, power_cost(1))
+
+    def test_enumeration_limited_to_eight_atoms(self):
+        mu = DiscreteMeasureND([((float(k),), 1) for k in range(9)])
+        with pytest.raises(ValueError):
+            brute_force_assignment(mu, mu, power_cost(1))
 
 
 class TestSimplexVsEnumeration:

@@ -26,6 +26,30 @@ def test_corruption_fails_every_suite(name, monkeypatch):
     assert run_suites([name], corrupt=True)[0].passed is False
 
 
+# each suite's number of checks at the SMALL sizes: per instance, one check
+# per order p and per rule
+SMALL_CHECKS = {
+    "comonotone": 5 * 3,
+    "formula_triangle": 5 * 4,
+    "metric": 5 * 6,
+    "decomposition": 4 * 3,
+    "necessity": 4 + 1,
+    "frechet_hoeffding": 30,
+    "wpq_sandwich": 1 * 8,
+    "continuous": 3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_check_counts(name):
+    checks = SUITES[name](0, **SMALL[name]).checks
+    if name == "assignment":
+        # instances whose random atoms merge are skipped
+        assert 1 <= checks <= SMALL[name]["count"]
+    else:
+        assert checks == SMALL_CHECKS[name]
+
+
 def test_frechet_hoeffding_reports_closest_approach():
     # the gap is the excess over the slack, negative on a clean run
     result = SUITES["frechet_hoeffding"](0, evaluations=30)

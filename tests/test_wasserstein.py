@@ -16,6 +16,7 @@ from wassercop import (
     Uniform,
     comonotone_coupling,
     empirical_from_samples,
+    norm_cost,
     power_cost,
     solve_ot,
     w1_cdf,
@@ -309,12 +310,14 @@ def test_order_must_be_finite_and_at_least_one(call, p):
         lambda: wp_shared_nd(M2, (F_RUN,) * 3, (G_RUN,) * 3, 2),
         lambda: wpq_bounds(M2, (F_RUN,) * 2, (G_RUN,) * 2, 2, 2),
         lambda: power_cost(0.5),
+        lambda: norm_cost(0.5, 2),
+        lambda: norm_cost(2, 0.25),
         lambda: solve_ot(DiscreteMeasureND([((0.0,), 1)]), DiscreteMeasureND([((1.0,), 1)]),
                          power_cost(2), atom_cap=0),
         lambda: load_copula("no-such-copula.csv"),
     ],
     ids=["check_order", "quad_tol", "coupling-grid-n", "margin-counts", "copula-required",
-         "copula-dim", "p-equals-q", "power_cost", "atom-cap", "missing-file"],
+         "copula-dim", "p-equals-q", "power_cost", "norm_cost-p", "norm_cost-q", "atom-cap", "missing-file"],
 )
 def test_bad_arguments_raise_input_error(call):
     # InputError is what the CLI maps to exit 2; it stays a ValueError
