@@ -20,7 +20,7 @@ from .copulas import COUPLING_GRID_N, comonotone_coupling
 from .distributions import Empirical
 from .grids import InputError
 from .io import load_copula, load_distribution
-from .oracle import DiscreteMeasureND, power_cost, solve_ot
+from .oracle import DEFAULT_ATOM_CAP, DiscreteMeasureND, power_cost, solve_ot
 from .verify import SUITES, run_suites
 from .wasserstein import (
     DistanceReport,
@@ -74,6 +74,8 @@ def cmd_compute(args) -> int:
             raise InputError("--copula needs --margins-f and --margins-g")
         if args.inputs:
             raise InputError("compute takes two distribution files or --copula, not both")
+        if args.method != "quantile":
+            raise InputError(f"--copula sums quantile routes, not --method {args.method}")
         report = wp_shared_nd(*_shared_inputs(args), args.p, args.grid_tol)
     else:
         if args.margins_f or args.margins_g:
@@ -153,11 +155,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_p=True):
+    def add_common(sp):
         sp.add_argument("--format", choices=("json", "csv", "human"), default="json")
         sp.add_argument("--grid-tol", type=float, default=None, help="quadrature tolerance")
-        if with_p:
-            sp.add_argument("--p", type=float, required=True, help="order p >= 1")
+        sp.add_argument("--p", type=float, required=True, help="order p >= 1")
 
     sp = sub.add_parser("compute", help="compute a distance between two laws")
     add_common(sp)
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact LP value and coupling witness")
     sp.add_argument("inputs", nargs=2, help="two finitely supported laws")
     sp.add_argument("--p", type=float, required=True, help="order p >= 1")
-    sp.add_argument("--atom-cap", type=int, default=64)
+    sp.add_argument("--atom-cap", type=int, default=DEFAULT_ATOM_CAP)
     sp.set_defaults(fn=cmd_oracle)
 
     return parser

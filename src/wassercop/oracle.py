@@ -239,36 +239,29 @@ def solve_ot(
     if len(mu) > atom_cap or len(nu) > atom_cap:
         raise ValueError(f"instance exceeds the atom cap of {atom_cap}")
     C = _cost_matrix(mu, nu, cost)
+    # both measures scaled to integers over the common denominator L; at
+    # equal uniform masses L = n and each assigned cell holds 1
+    L = math.lcm(mu.total, nu.total)
     if _equal_uniform(mu, nu):
-        w = Fraction(1, len(mu))
-        entries = tuple((i, j, w) for i, j in enumerate(_assignment_from_matrix(C)))
+        basis = _assignment_basis(C)
     else:
-        # pivot on integers: both measures scaled to the common denominator L
-        L = math.lcm(mu.total, nu.total)
         basis = _transportation_simplex(
             [k * (L // mu.total) for k in mu.nums], [k * (L // nu.total) for k in nu.nums], C
         )
-        entries = tuple(
-            (i, j, Fraction(k, L)) for (i, j), k in sorted(basis.items()) if k > 0
-        )
+    entries = tuple((i, j, Fraction(k, L)) for (i, j), k in sorted(basis.items()) if k > 0)
     value = math.fsum(float(m) * C[i][j] for i, j, m in entries)
     coupling = DiscreteCoupling(entries=entries, source=mu, target=nu)
     coupling.validate()
     return value, coupling
 
 
-def _assignment_from_matrix(C: list[list[float]]) -> tuple[int, ...]:
-    """The optimal permutation, row i to column perm[i]: at uniform masses
-    the extreme points of the transportation polytope are permutation
-    matrices, so the problem is an assignment problem."""
-    import numpy as np
+def _assignment_basis(C: list[list[float]]) -> dict[tuple[int, int], int]:
+    """The optimal permutation as a basis, mass 1 on each cell (i, perm[i]):
+    at uniform masses the extreme points of the transportation polytope are
+    permutation matrices, so the problem is an assignment problem."""
     from scipy.optimize import linear_sum_assignment
 
-    rows, cols = linear_sum_assignment(np.asarray(C))
-    perm = [0] * len(C)
-    for i, j in zip(rows, cols):
-        perm[i] = int(j)
-    return tuple(perm)
+    return {(int(i), int(j)): 1 for i, j in zip(*linear_sum_assignment(C))}
 
 
 def brute_force_assignment(

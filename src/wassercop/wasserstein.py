@@ -84,8 +84,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
     """W_1 as the area between the distribution functions, int |F - G| dx:
     an exact sum for two atomic laws, else quadrature to tol (None: 1e-10)
     between both laws' quantiles at U_CLAMP and 1 - U_CLAMP, split at
-    _cdf_kinks. Against an atomic G each cell between atoms, where G reads
-    a constant level c, splits again where F crosses c, at F^{-1}(c)."""
+    _cdf_kinks."""
     tol = quad_tol(tol, 1e-10)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
@@ -96,18 +95,8 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
         raise QuadratureError(
             f"the cdf route cannot resolve the range [{lo!r}, {hi!r}] of these laws in floats"
         )
-    if isinstance(F, Empirical):
-        F, G = G, F
     edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]
     fc, gc = F.cdf, G.cdf
-    if isinstance(G, Empirical):
-        crossings = []
-        for a, b in zip(edges, edges[1:]):
-            c = gc(a)
-            x = F.quantile(c) if 0.0 < c < 1.0 else a
-            if a < x < b:
-                crossings.append(x)
-        edges = sorted([*edges, *crossings])
     f = lambda x: abs(fc(x) - gc(x))
     value, err = quad_cells([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
@@ -129,18 +118,27 @@ def _crossing(F: Distribution1D, G: Distribution1D) -> float | None:
 
 
 def _cdf_kinks(F: Distribution1D, G: Distribution1D) -> list[float]:
-    """Points where |F(x) - G(x)| may jump or kink, for a parametric F.
+    """Points where |F(x) - G(x)| may jump or kink, for a pair that is not
+    atomic on both sides.
 
-    Against an atomic G: its atoms and the finite ends of F's support
-    (w1_cdf splits each cell again where F crosses G's level). For two laws
-    of one family: their _crossing, and a Uniform law's ends; without them
-    quad misses w1_cdf's tolerance by up to 1e-6 absolute. Laws of two
-    families get none: their crossings are not known, and an end split off
-    without the crossing can leave quad a cell that fools it."""
+    Against atoms, on either side: the finite ends of the parametric law's
+    support, the atoms y_0 < ... < y_n, and each point where the parametric
+    law's CDF crosses the level c_k in (0, 1) that the atomic law reads on
+    the gap (y_k, y_{k+1}): its quantile at c_k, when that lies strictly
+    inside the gap. For two laws of one family: their _crossing, and a
+    Uniform law's ends; without them quad misses w1_cdf's tolerance by up to
+    1e-6 absolute. Laws of two families get none: their crossings are not
+    known, and an end split off without the crossing can leave quad a cell
+    that fools it."""
+    if isinstance(F, Empirical):
+        F, G = G, F
     if isinstance(G, Empirical):
+        ys = G.locations
+        xs = [F.quantile(c) if 0.0 < c < 1.0 else y for y, c in zip(ys, G.cumulative())]
+        points = [*ys, *(x for y, x, z in zip(ys, xs, ys[1:]) if y < x < z)]
         if isinstance(F, Uniform):
-            return [F.a, F.b, *G.locations]
-        return [0.0, *G.locations] if isinstance(F, Exponential) else list(G.locations)
+            return [F.a, F.b, *points]
+        return [0.0, *points] if isinstance(F, Exponential) else points
     s = _crossing(F, G)
     if type(F) is type(G) is Uniform:
         ends = [F.a, F.b, G.a, G.b]

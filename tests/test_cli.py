@@ -242,6 +242,36 @@ class TestBounds:
         assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["compute", "--p", "2", "{f}", "{g}", "--format", "csv"],
+         ["bounds,error_estimate,method,p,power_value,q,value",
+          ",0.0,QuantileIntegral,2.0,1.5,,1.224744871391589"]),
+        (["compute", "--p", "2", "{f}", "{g}", "--format", "human"],
+         ["W_2 = 1.22474487139   (power 1.5)",
+          "method: QuantileIntegral, error estimate 0"]),
+        (["bounds", "--p", "2", "--q", "1", "--copula", "{c}", "--margins-f", "{f}", "{f}",
+          "--margins-g", "{g}", "{g}", "--format", "csv"],
+         ["bounds,copula,error_estimate,method,p,power_value,q,value",
+          '"[3.0, 6.0]","EmpiricalCopula(n=2, dim=2)",0.0,SharedCopulaSum,2.0,3.0,1.0,'
+          "1.7320508075688772"]),
+        (["bounds", "--p", "2", "--q", "1", "--copula", "{c}", "--margins-f", "{f}", "{f}",
+          "--margins-g", "{g}", "{g}", "--format", "human"],
+         ["W_2 = 1.73205080757   (power 3)",
+          "method: SharedCopulaSum, error estimate 0",
+          "W_{2,1}^2 in [3, 6]"]),
+    ],
+    ids=["compute-csv", "compute-human", "bounds-csv", "bounds-human"],
+)
+def test_report_formats(running_pair, copula_csv, argv, lines, capsys):
+    f, g = running_pair
+    assert main([arg.format(f=f, g=g, c=copula_csv) for arg in argv]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines() == lines
+    assert err == ""
+
+
 class TestVerify:
     def test_quick_suites_pass(self):
         r = run_cli("verify", "--suite", "assignment", "--suite", "continuous")
@@ -343,9 +373,28 @@ class TestFileFailures:
 
 
     @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("empty.csv", "", "empty file"),
+            ("header.csv", "x,w\n", "no samples"),
+            ("location.csv", "x,w\n0,1\nabc,1\n", "bad sample location"),
+            ("weight.csv", "x,w\n0,1\n1,0\n", "atom weight must be positive"),
+            ("kind.json", '{"kind": "cauchy"}', "unknown distribution kind 'cauchy'"),
+        ],
+        ids=["empty-csv", "header-only-csv", "non-numeric-location", "zero-weight",
+             "unknown-kind"],
+    )
+    def test_unusable_distribution_file(self, running_pair, tmp_path, name, text, message,
+                                        capsys):
+        bad = tmp_path / name
+        bad.write_text(text)
+        assert main(["compute", str(bad), running_pair[0], "--p", "2"]) == 2
+        assert message in self._one_error_line(capsys)
+
+    @pytest.mark.parametrize(
         "rows",
-        ["1,2\n3\n5,6\n", "1,2\n3,4,9\n5,6\n", "1,2\nnan,4\n5,6\n", "1,2\n3,-inf\n5,6\n"],
-        ids=["short-row", "long-row", "nan", "inf"],
+        ["1,2\n3\n5,6\n", "1,2\n3,4,9\n5,6\n", "1,2\nnan,4\n5,6\n", "1,2\n3,-inf\n5,6\n", ""],
+        ids=["short-row", "long-row", "nan", "inf", "empty"],
     )
     def test_malformed_copula_data(self, running_pair, tmp_path, rows, capsys):
         bad = tmp_path / "X.csv"
@@ -381,8 +430,8 @@ def test_blank_cells_end_a_copula_row_only_at_its_end(tmp_path):
 
 
 class TestShapeMismatch:
-    """In process through cli.main: inputs whose shapes disagree are usage
-    errors (exit 2) with one `error:` line."""
+    """In process through cli.main: inputs whose shapes disagree, or that the
+    command cannot take, are usage errors (exit 2) with one `error:` line."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -401,16 +450,27 @@ class TestShapeMismatch:
              "{g}"],
             ["oracle", "{f}", "{g}", "--p", "0.5"],
             ["sample", "{f}", "{g}", "--grid-n", "1"],
+            ["compute", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}", "{g}", "--method", "cdf"],
+            ["compute", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}",
+             "--margins-g", "{g}", "{g}", "--method", "via-m"],
+            ["compute", "--p", "2", "--copula", "{c2}", "--margins-f", "{f}", "{f}"],
+            ["compute", "{f}", "--p", "2"],
+            ["oracle", "{n}", "{g}", "--p", "2"],
         ],
         ids=["compute-copula-dim", "bounds-copula-dim", "compute-margin-counts",
              "bounds-margin-counts", "compute-laws-and-copula", "oracle-atom-cap-0",
-             "compute-margins-without-copula", "oracle-p-below-1", "sample-grid-n-1"],
+             "compute-margins-without-copula", "oracle-p-below-1", "sample-grid-n-1",
+             "compute-copula-method-cdf", "compute-copula-method-via-m",
+             "compute-copula-without-margins-g", "compute-one-law", "oracle-parametric"],
     )
     def test_mismatch_exit_2(self, running_pair, copula_csv, tmp_path, argv, capsys):
         c3 = tmp_path / "C3.csv"
         c3.write_text("0.0,0.0,0.0\n0.5,0.5,0.5\n")
+        n = tmp_path / "N.json"
+        n.write_text(json.dumps({"kind": "normal", "mean": 0, "stddev": 1}))
         f, g = running_pair
-        paths = {"f": f, "g": g, "c2": copula_csv, "c3": str(c3)}
+        paths = {"f": f, "g": g, "c2": copula_csv, "c3": str(c3), "n": str(n)}
         assert main([arg.format(**paths) for arg in argv]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -15,6 +15,7 @@ from wassercop import (
     Uniform,
     empirical_from_samples,
 )
+from wassercop.grids import U_CLAMP
 
 HALF = Fraction(1, 2)
 TWO_POINT = Empirical([(0, HALF), (1, HALF)])
@@ -59,6 +60,12 @@ class TestQuantile:
     def test_endpoints_are_support_bounds(self):
         assert TWO_POINT.quantile(0.0) == 0
         assert TWO_POINT.quantile(1.0) == 1
+
+    @pytest.mark.parametrize("law", [Normal(0.3, 1.2), Exponential(0.8)], ids=repr)
+    def test_parametric_ends_read_the_clamp(self, law):
+        # levels 0 and 1 read the quantile at U_CLAMP and 1 - U_CLAMP
+        assert law.quantile(0.0) == law.quantile(U_CLAMP)
+        assert law.quantile(1.0) == law.quantile(1.0 - U_CLAMP)
 
     def test_out_of_range_rejected(self):
         for bad in (-0.1, 1.1, math.nan):

@@ -416,6 +416,12 @@ class TestCellIntegrands:
             gaps = [F.cdf(x) - G.cdf(x) for x in (a + (b - a) * t for t in (1e-6, 0.5, 1 - 1e-6))]
             assert min(gaps) >= 0.0 or max(gaps) <= 0.0, (a, b, gaps)
 
+    @pytest.mark.parametrize("F", list(ATOMS), ids=lambda F: type(F).__name__)
+    def test_w1_cdf_is_symmetric(self, F):
+        # the same floats whichever side the atoms are on
+        G = self.with_tiny_atoms(self.ATOMS[F])
+        assert w1_cdf(G, F) == w1_cdf(F, G)
+
 
 def seeded_law(rng, family):
     if family is Normal:
