@@ -261,6 +261,8 @@ class Exponential(Distribution1D):
         _require_finite(self.rate, "exponential rate")
         if not self.rate > 0:
             raise ValueError("exponential law needs rate > 0")
+        if not math.isfinite(1.0 / self.rate):
+            raise ValueError(f"exponential mean 1/rate overflows a float for rate {self.rate!r}")
 
     def cdf(self, x: float) -> float:
         x = _require_finite(x, "cdf argument")

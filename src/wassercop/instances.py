@@ -6,9 +6,8 @@ identical instances bit for bit.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
-from .copulas import EmpiricalCopula
+from .copulas import EmpiricalCopula, discretize_joint
 from .distributions import Empirical, Uniform
 from .oracle import DiscreteMeasureND
 
@@ -47,13 +46,15 @@ def random_margin(rng: random.Random):
 
 def random_shared_instance(
     rng: random.Random, d: int, max_rows: int = 10
-) -> tuple[EmpiricalCopula, list, list]:
-    """A copula with rank rows plus two lists of d margins."""
+) -> tuple[EmpiricalCopula, DiscreteMeasureND, DiscreteMeasureND]:
+    """A copula C with rank rows and the Sklar assemblies on C of two random
+    lists of d margins: two laws on R^d that share C by construction."""
     n = rng.randint(2, max_rows)
     C = random_empirical_copula(rng, n, d)
     marginsF = [random_margin(rng) for _ in range(d)]
     marginsG = [random_margin(rng) for _ in range(d)]
-    return C, marginsF, marginsG
+    mu, nu = (DiscreteMeasureND(discretize_joint(C, m)) for m in (marginsF, marginsG))
+    return C, mu, nu
 
 
 def random_discrete_nd(

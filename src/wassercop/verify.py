@@ -5,6 +5,12 @@ These suites are the one definition of the acceptance criteria: each
 suite's instances, counts, tolerances and pass rule are written here, and
 the oracle only solves. Each takes corrupt=True to plant a mistake on its
 formula side, which proves the suite can fail.
+
+Every check compares two independent computations. On two atomic laws
+wp_via_M and wp_quantile are one computation, so no suite compares them
+there: the comonotone suite (criterion 1) checks that computation against
+the LP, and the continuous suite (criterion 8) checks wp_via_M's quadrature
+against wp_quantile's closed-form cells.
 """
 from __future__ import annotations
 
@@ -13,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .copulas import discretize_joint, eval_M, eval_W
+from .copulas import eval_M, eval_W
 from .distributions import Empirical, Uniform
 from .instances import (
     necessity_instance,
@@ -44,31 +50,22 @@ from .wasserstein import (
 CORRUPT_SHIFT = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclass
 class SuiteResult:
+    """A suite's verdict, built one check at a time: whether every check
+    passed, the largest gap seen (from max_gap, its starting value) and the
+    number of checks."""
+
     name: str
-    passed: bool
-    max_gap: float
-    checks: int
+    passed: bool = True
+    max_gap: float = 0.0
+    checks: int = 0
     detail: str = ""
 
-
-class _Tally:
-    """A suite's running verdict: whether every check passed, the largest
-    gap seen (from worst, its starting value) and the number of checks."""
-
-    def __init__(self, worst: float = 0.0):
-        self.ok = True
-        self.worst = worst
-        self.checks = 0
-
     def check(self, passed: bool, gap: float = -math.inf) -> None:
-        self.ok = self.ok and passed
-        self.worst = max(self.worst, gap)
+        self.passed = self.passed and passed
+        self.max_gap = max(self.max_gap, gap)
         self.checks += 1
-
-    def result(self, name: str, detail: str = "") -> SuiteResult:
-        return SuiteResult(name, self.ok, self.worst, self.checks, detail)
 
 
 def _shift(corrupt: bool) -> float:
@@ -84,52 +81,49 @@ def suite_comonotone_optimality(
 ) -> SuiteResult:
     """Quantile-integral power equals the LP minimum, p in {1, 2, 3}."""
     rng = random.Random(seed)
-    tally = _Tally()
+    result = SuiteResult("comonotone_optimality")
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
         mu, nu = DiscreteMeasureND.from_empirical(F), DiscreteMeasureND.from_empirical(G)
         for p in (1.0, 2.0, 3.0):
             lp, _ = solve_ot(mu, nu, power_cost(p))
             gap = abs(lp - (wp_quantile(F, G, p).power_value + _shift(corrupt)))
-            tally.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
-    return tally.result("comonotone_optimality")
+            result.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
+    return result
 
 
 def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -> SuiteResult:
-    """CDF-integral, quantile-integral and copula-integral routes agree. On
-    atomic pairs the quantile and copula routes share one computation, so
-    the CDF route at p = 1 is the independent leg here; the comonotone
-    suite checks the shared one against the LP."""
+    """The CDF-integral and quantile-integral routes agree at p = 1 on
+    atomic pairs. The M-coupling route is certified elsewhere: on atomic
+    pairs it is the quantile route's computation, which the comonotone suite
+    checks against the LP, and its quadrature meets the closed-form cells in
+    the continuous suite."""
     rng = random.Random(seed)
-    tally = _Tally()
+    result = SuiteResult("formula_triangle")
     for _ in range(pairs):
         F, G = random_empirical(rng), random_empirical(rng)
-        q1 = wp_quantile(F, G, 1.0).power_value + _shift(corrupt)
-        gap = abs(w1_cdf(F, G).power_value - q1)
-        tally.check(gap <= 1e-10, gap)
-        for p in (1.0, 2.0, 3.0):
-            quantile = wp_quantile(F, G, p).power_value + _shift(corrupt)
-            gap = abs(wp_via_M(F, G, p).power_value - quantile)
-            tally.check(gap <= 1e-10, gap)
-    return tally.result("formula_triangle")
+        quantile = wp_quantile(F, G, 1.0).power_value + _shift(corrupt)
+        gap = abs(w1_cdf(F, G).power_value - quantile)
+        result.check(gap <= 1e-10, gap)
+    return result
 
 
 def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -> SuiteResult:
     """Identity, symmetry and the triangle inequality, p in {1, 2}."""
     rng = random.Random(seed)
-    tally = _Tally()
+    result = SuiteResult("metric_axioms")
     for _ in range(triples):
         mu, nu, rho = (random_empirical(rng) for _ in range(3))
         for p in (1.0, 2.0):
-            tally.check(wp_quantile(mu, mu, p).value == 0.0)
+            result.check(wp_quantile(mu, mu, p).value == 0.0)
             ab = wp_quantile(mu, nu, p).value + _shift(corrupt)
             ba = wp_quantile(nu, mu, p).value
             ac = wp_quantile(mu, rho, p).value
             cb = wp_quantile(rho, nu, p).value
-            tally.check(abs(ab - ba) <= 1e-12, abs(ab - ba))
+            result.check(abs(ab - ba) <= 1e-12, abs(ab - ba))
             violation = ab - (ac + cb)
-            tally.check(violation <= 1e-10, violation)
-    return tally.result("metric_axioms")
+            result.check(violation <= 1e-10, violation)
+    return result
 
 
 def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
@@ -139,19 +133,17 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
     the discrete measures feed the one-dimensional quantile formula.
     """
     rng = random.Random(seed)
-    tally = _Tally()
+    result = SuiteResult("decomposition")
     for k in range(count):
         d = 2 + (k % 2)
-        C, mf, mg = random_shared_instance(rng, d)
-        mu = DiscreteMeasureND(discretize_joint(C, mf))
-        nu = DiscreteMeasureND(discretize_joint(C, mg))
+        C, mu, nu = random_shared_instance(rng, d)
         fm, gm = _margins(mu), _margins(nu)
         for p in (1.0, 2.0, 3.0):
             lp, _ = solve_ot(mu, nu, power_cost(p))
             formula = wp_shared_nd(C, fm, gm, p).power_value + _shift(corrupt)
             gap = abs(lp - formula)
-            tally.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
-    return tally.result("decomposition")
+            result.check(gap <= 1e-9 * max(1.0, lp), gap / max(1.0, lp))
+    return result
 
 
 def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
@@ -161,17 +153,16 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
     mu, nu = necessity_instance()
     lp, _ = solve_ot(mu, nu, power_cost(2.0))
     naive = wp_lower_bound_nd(_margins(mu), _margins(nu), 2.0) + _shift(corrupt)
-    tally = _Tally()
-    tally.check(lp >= 0.1 and naive == 0.0)
-    detail = f"witness: lp={lp!r}, coordinatewise sum={naive!r}"
+    result = SuiteResult("necessity", detail=f"witness: lp={lp!r}, coordinatewise sum={naive!r}")
+    result.check(lp >= 0.1 and naive == 0.0)
     for k in range(count):
         d = 2 + (k % 2)
         a = random_discrete_nd(rng, d)
         b = random_discrete_nd(rng, d)
         lp, _ = solve_ot(a, b, power_cost(2.0))
         lower = wp_lower_bound_nd(_margins(a), _margins(b), 2.0) + _shift(corrupt)
-        tally.check(lp >= lower - 1e-10, lower - lp)
-    return tally.result("necessity", detail)
+        result.check(lp >= lower - 1e-10, lower - lp)
+    return result
 
 
 def suite_frechet_hoeffding(
@@ -184,7 +175,7 @@ def suite_frechet_hoeffding(
     corrupt=True evaluates 1 - C(u), since a small shift hides in the slack.
     """
     rng = random.Random(seed)
-    tally = _Tally(-math.inf)
+    result = SuiteResult("frechet_hoeffding", max_gap=-math.inf)
     copulas = [
         random_empirical_copula(rng, rng.randint(2, 20), d)
         for d in (2, 3, 4)
@@ -197,11 +188,11 @@ def suite_frechet_hoeffding(
         lower, value, upper = eval_W(u), c.eval(u), eval_M(u)
         if corrupt:
             value = 1.0 - value
-        tally.check(
+        result.check(
             lower - slack <= value <= upper + slack,
             max(lower - value - slack, value - upper - slack),
         )
-    return tally.result("frechet_hoeffding")
+    return result
 
 
 def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> SuiteResult:
@@ -211,21 +202,19 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
     hides in the gap between the LP and the bounds.
     """
     rng = random.Random(seed)
-    tally = _Tally(-math.inf)
+    result = SuiteResult("wpq_sandwich", max_gap=-math.inf)
     for p, q in ((1.0, 2.0), (2.0, 1.0), (2.0, 3.0), (3.0, 2.0)):
         for d in (2, 3):
             for _ in range(per_case):
-                C, mf, mg = random_shared_instance(rng, d)
-                mu = DiscreteMeasureND(discretize_joint(C, mf))
-                nu = DiscreteMeasureND(discretize_joint(C, mg))
+                C, mu, nu = random_shared_instance(rng, d)
                 lp, _ = solve_ot(mu, nu, norm_cost(p, q))
                 report = wpq_bounds(C, _margins(mu), _margins(nu), p, q)
                 lo, hi = report.bounds
                 if corrupt:
                     s, wrong = report.power_value, d ** (q / p - 1.0)
                     lo, hi = (s, wrong * s) if q < p else (wrong * s, s)
-                tally.check(lo - 1e-10 <= lp <= hi + 1e-10, max(lo - lp, lp - hi))
-    return tally.result("wpq_sandwich")
+                result.check(lo - 1e-10 <= lp <= hi + 1e-10, max(lo - lp, lp - hi))
+    return result
 
 
 def suite_continuous_sanity(
@@ -235,18 +224,19 @@ def suite_continuous_sanity(
     quadrature along the comonotone coupling and, within 2%, by the
     discretized LP. The seed is unused: the instance is fixed."""
     F, G = Uniform(0.0, 1.0), Uniform(0.0, 2.0)
-    tally = _Tally()
+    result = SuiteResult("continuous_sanity")
     cells = wp_quantile(F, G, 2.0).power_value + _shift(corrupt)
     quad = wp_via_M(F, G, 2.0).power_value + _shift(corrupt)
     for formula in (cells, quad):
         gap = abs(formula - 1.0 / 3.0)
-        tally.check(gap <= 1e-8, gap)
+        result.check(gap <= 1e-8, gap)
     mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=atoms)
     gap_lp = abs(lp - 1.0 / 3.0) / (1.0 / 3.0)
-    tally.check(gap_lp <= 0.02, gap_lp)
-    return tally.result("continuous_sanity", f"cells={cells!r}, quad={quad!r}, lp={lp!r}")
+    result.check(gap_lp <= 0.02, gap_lp)
+    result.detail = f"cells={cells!r}, quad={quad!r}, lp={lp!r}"
+    return result
 
 
 def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> SuiteResult:
@@ -254,7 +244,7 @@ def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> Suite
     enumeration for n <= 6: its coupling, priced as the fsum of its entries'
     costs over n, is the n! minimum exactly."""
     rng = random.Random(seed)
-    tally = _Tally()
+    result = SuiteResult("assignment")
     for _ in range(count):
         n = rng.randint(1, 6)
         d = rng.randint(1, 3)
@@ -271,8 +261,8 @@ def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> Suite
         xs, ys = mu.locations, nu.locations
         priced = math.fsum(cost(xs[i], ys[j]) for i, j, _ in coupling.entries) / n
         gap = abs(priced + _shift(corrupt) - brute_force_assignment(mu, nu, cost))
-        tally.check(gap == 0.0, gap)
-    return tally.result("assignment")
+        result.check(gap == 0.0, gap)
+    return result
 
 
 SUITES: dict[str, Callable[..., SuiteResult]] = {

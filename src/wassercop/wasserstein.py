@@ -29,12 +29,12 @@ class Method(str, Enum):
 class DistanceReport:
     """Computed distance with its p-th power, method and error estimate.
 
-    value is the distance W_p itself, power_value its p-th power; bounds,
-    when present, sandwich the p-th power of the q-norm variant W_{p,q}.
+    power_value is W_p^p and value, derived from it, the distance W_p
+    itself; bounds, when present, sandwich the p-th power of the q-norm
+    variant W_{p,q}.
     """
 
     p: float
-    value: float
     power_value: float
     method: Method
     error_estimate: float
@@ -43,10 +43,12 @@ class DistanceReport:
     copula: str | None = None
 
     def __post_init__(self):
-        if self.value < 0 or self.power_value < 0:
+        if self.power_value < 0:
             raise ValueError("distances are nonnegative")
-        if abs(self.value - self.power_value ** (1.0 / self.p)) > 1e-12 * max(1.0, self.value):
-            raise ValueError("value must be the p-th root of power_value")
+
+    @property
+    def value(self) -> float:
+        return self.power_value ** (1.0 / self.p)
 
     def to_dict(self) -> dict:
         out = {
@@ -72,7 +74,6 @@ def _report(p: float, power: float, method: Method, err: float, **kw) -> Distanc
     power = max(power, 0.0)
     return DistanceReport(
         p=float(p),
-        value=power ** (1.0 / p),
         power_value=power,
         method=method,
         error_estimate=err,

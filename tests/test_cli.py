@@ -122,14 +122,47 @@ class TestCompute:
             assert r.stdout == ""
             assert "overflows a float at p = 3" in r.stderr
 
-    def test_uniform_of_infinite_width_exit_2(self, running_pair, tmp_path, capsys):
-        # b - a = inf: rejected when the file is read, not turned into W_1 = 0
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "uniform", "a": -1e308, "b": 1e308},
+            {"kind": "exponential", "rate": 1e-320},
+            {"kind": "exponential", "rate": 2e-320},
+        ],
+        ids=["uniform-width", "exponential-1e-320", "exponential-2e-320"],
+    )
+    @pytest.mark.parametrize("method", ["quantile", "via-m", "cdf"])
+    def test_law_of_infinite_scale_exit_2(self, running_pair, tmp_path, capsys, spec, method):
+        # b - a = inf, or 1/rate = inf: rejected when the file is read, not
+        # turned into W_1 = 0
         wide = tmp_path / "wide.json"
-        wide.write_text(json.dumps({"kind": "uniform", "a": -1e308, "b": 1e308}))
-        assert main(["compute", "--p", "1", "--method", "cdf", str(wide), running_pair[0]]) == 2
+        wide.write_text(json.dumps(spec))
+        assert main(["compute", "--p", "1", "--method", method, str(wide), running_pair[0]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert sum("error:" in line for line in captured.err.splitlines()) == 1
+        assert "overflows a float" in captured.err
+
+    @pytest.mark.parametrize("rate", [1.0, 1e300])
+    @pytest.mark.parametrize("method", ["quantile", "via-m"])
+    def test_smallest_exponential_rate_gives_value_or_overflow(
+        self, tmp_path, capsys, rate, method
+    ):
+        # the smallest rate whose mean 1/rate is finite builds a law: W_1 is
+        # about 1.8e308, a finite value or the overflow line, never a
+        # construction error. The cdf route is left out: its top clamped
+        # quantile overflows to inf here
+        laws = []
+        for name, r in (("slow", 5.56268464626801e-309), ("fast", rate)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"kind": "exponential", "rate": r}))
+            laws.append(str(path))
+        code = main(["compute", "--p", "1", "--method", method, *laws])
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out)["value"] == pytest.approx(1.79e308, rel=1e-2)
+        else:
+            assert (code, out, err) == (4, "", "error: W_p^p overflows a float at p = 1\n")
 
 
 class TestGridArguments:

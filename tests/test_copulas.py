@@ -24,6 +24,22 @@ DIAG = EmpiricalCopula([(0.25, 0.25), (0.75, 0.75)])
 ANTI = EmpiricalCopula([(0.25, 0.75), (0.75, 0.25)])
 
 
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: EmpiricalCopula([]), ValueError, "needs at least one row"),
+        (lambda: EmpiricalCopula([(0.5,)]), ValueError, "dimension must be >= 2"),
+        (lambda: EmpiricalCopula([(0.5, 0.5), (0.5,)]), ValueError, "share one dimension"),
+        (lambda: EmpiricalCopula.from_data([]), ValueError, "need at least one data row"),
+        (lambda: eval_M((0.5,)), ValueError, "dimension >= 2"),
+    ],
+    ids=["no-rows", "one-column", "ragged-rows", "no-data-rows", "one-argument"],
+)
+def test_input_checks(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
 class TestBoundEvaluators:
     def test_m_is_min(self):
         assert eval_M((0.3, 0.7)) == 0.3

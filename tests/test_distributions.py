@@ -15,10 +15,36 @@ from wassercop import (
     Uniform,
     empirical_from_samples,
 )
+from wassercop.distributions import merge_atoms
 from wassercop.grids import U_CLAMP
 
 HALF = Fraction(1, 2)
 TWO_POINT = Empirical([(0, HALF), (1, HALF)])
+# the smallest Exponential rate whose mean 1/rate is a finite float; the
+# CLI tests build a law at it
+SMALLEST_RATE = 5.56268464626801e-309
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: Uniform(1.0, 1.0), ValueError, "needs a < b"),
+        (lambda: Uniform(2.0, 1.0), ValueError, "needs a < b"),
+        (lambda: Normal(0.0, 0.0), ValueError, "needs stddev > 0"),
+        (lambda: Normal(0.0, -1.0), ValueError, "needs stddev > 0"),
+        (lambda: Exponential(0.0), ValueError, "needs rate > 0"),
+        (lambda: Exponential(-1.0), ValueError, "needs rate > 0"),
+        (lambda: empirical_from_samples([1, 2], [1]), ValueError, "weights must match samples"),
+        (lambda: merge_atoms([], []), ValueError, "need at least one atom"),
+    ],
+    ids=[
+        "uniform-empty", "uniform-reversed", "normal-zero-stddev", "normal-negative-stddev",
+        "exponential-zero-rate", "exponential-negative-rate", "weights-length", "no-atoms",
+    ],
+)
+def test_input_checks(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
 
 
 class TestCdf:
@@ -31,10 +57,20 @@ class TestCdf:
     def test_uniform_linear(self):
         assert Uniform(0, 2).cdf(0.5) == 0.25
 
-    def test_uniform_width_must_be_finite(self):
-        # a width of inf would make every cdf value 0.0 and W_1 silently 0.0
+    @pytest.mark.parametrize(
+        "law, spec",
+        [
+            (Uniform, (-1e308, 1e308)),
+            (Exponential, (1e-320,)),
+            (Exponential, (2e-320,)),
+            (Exponential, (math.nextafter(SMALLEST_RATE, 0.0),)),
+        ],
+        ids=["uniform-width", "exponential-1e-320", "exponential-2e-320", "exponential-bound"],
+    )
+    def test_scale_must_be_finite(self, law, spec):
+        # a width b - a or a mean 1/rate of inf turned W_1 into a silent 0.0
         with pytest.raises(ValueError, match="overflows a float"):
-            Uniform(-1e308, 1e308)
+            law(*spec)
 
     def test_right_continuity_limits(self):
         assert TWO_POINT.cdf(1) == 1.0

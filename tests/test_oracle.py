@@ -33,6 +33,40 @@ def measure_1d(d: Empirical) -> DiscreteMeasureND:
     return DiscreteMeasureND.from_empirical(d)
 
 
+def coupling_of_f_run(*entries):
+    """A coupling of F_RUN with itself made of these (i, j, mass) entries."""
+    mu = measure_1d(F_RUN)
+    return oracle.DiscreteCoupling(entries, mu, mu)
+
+
+@pytest.mark.parametrize(
+    "build, error, fragment",
+    [
+        (lambda: DiscreteMeasureND([((math.inf,), 1)]), ValueError, "must be finite"),
+        (
+            lambda: DiscreteMeasureND([((0.0,), 1), ((0.0, 1.0), 1)]),
+            ValueError,
+            "must share a dimension",
+        ),
+        (
+            lambda: coupling_of_f_run((0, 0, -HALF), (0, 0, 1), (1, 1, HALF)).validate(),
+            ValueError,
+            "must be nonnegative",
+        ),
+        (
+            # the identity coupling with atom 1's mass moved onto atom 0
+            lambda: coupling_of_f_run((0, 0, HALF), (1, 0, HALF)).validate(),
+            ValueError,
+            "margins do not match",
+        ),
+    ],
+    ids=["nonfinite-location", "mixed-dimensions", "negative-mass", "moved-mass"],
+)
+def test_input_checks(build, error, fragment):
+    with pytest.raises(error, match=fragment):
+        build()
+
+
 def enumerate_2x2_minimum(a, b, xs, ys, cost):
     """Independent oracle for 2x2 instances: the coupling matrix has one free
     parameter t = mass(0 -> 0); the objective is linear in t, so scanning a
