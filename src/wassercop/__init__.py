@@ -21,6 +21,7 @@ from .grids import InputError, QuadratureError
 from .oracle import (
     DiscreteCoupling,
     DiscreteMeasureND,
+    NormCost,
     brute_force_assignment,
     norm_cost,
     power_cost,
@@ -50,6 +51,7 @@ __all__ = [
     "Exponential",
     "InputError",
     "Method",
+    "NormCost",
     "Normal",
     "QuadratureError",
     "Uniform",

@@ -3,9 +3,10 @@
 This is a correctness instrument, not a performance solver: masses are kept
 exact, as integer numerators over a common denominator, so couplings satisfy
 their margin constraints exactly, and the only floating-point error in a
-reported value is cost evaluation. The solver is a transportation simplex
-with Bland's rule (deterministic, terminates) that pivots on those integers,
-with an assignment fast path for equal-count uniform-mass instances and an
+reported value is cost evaluation (one NormCost matrix, built a row at a
+time). The solver is a transportation simplex with Bland's rule
+(deterministic, terminates) that pivots on those integers, with an
+assignment fast path for equal-count uniform-mass instances and an
 exhaustive permutation oracle for tiny ones. It imports none of the formulas
 it certifies; the acceptance rules that compare the two live in
 wassercop.verify.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 # InputError by way of distributions: the oracle imports no other module
 from .distributions import Empirical, InputError, check_order, merge_atoms
@@ -25,24 +26,46 @@ from .distributions import Empirical, InputError, check_order, merge_atoms
 DEFAULT_ATOM_CAP = 64
 _MAX_PIVOTS = 100_000
 
-Cost = Callable[[tuple[float, ...], tuple[float, ...]], float]
+
+@dataclass(frozen=True)
+class NormCost:
+    """(q-norm of x - y)^p: the cost of W_{p,q}, and at q = p the p-norm cost
+    to the p-th power, |x - y|^p summed over coordinates."""
+
+    p: float
+    q: float
+
+    def __post_init__(self):
+        check_order(self.p)
+        check_order(self.q, "q")
+
+    def __call__(self, x: tuple[float, ...], y: tuple[float, ...]) -> float:
+        s = math.fsum(abs(a - b) ** self.q for a, b in zip(x, y))
+        return s if self.p == self.q else s ** (self.p / self.q)
+
+    def matrix(
+        self, xs: Sequence[tuple[float, ...]], ys: Sequence[tuple[float, ...]]
+    ) -> list[list[float]]:
+        """[[self(x, y) for y in ys] for x in xs], bit for bit, built a row
+        at a time from one list per coordinate."""
+        q, r = self.q, self.p / self.q
+        columns = list(zip(*ys))
+        rows = []
+        for x in xs:
+            terms = [[abs(a - b) ** q for b in col] for a, col in zip(x, columns)]
+            row = terms[0] if len(terms) == 1 else list(map(math.fsum, zip(*terms)))
+            rows.append(row if self.p == q else [s ** r for s in row])
+        return rows
 
 
-def power_cost(p: float) -> Cost:
+def power_cost(p: float) -> NormCost:
     """|x - y|^p summed over coordinates: the p-norm cost to the p-th power."""
-    check_order(p)
-    return lambda x, y: math.fsum(abs(a - b) ** p for a, b in zip(x, y))
+    return NormCost(p, p)
 
 
-def norm_cost(p: float, q: float) -> Cost:
+def norm_cost(p: float, q: float) -> NormCost:
     """(q-norm of x - y)^p, the integrand of the W_{p,q} power."""
-    check_order(p)
-    check_order(q, "q")
-
-    def c(x, y):
-        return math.fsum(abs(a - b) ** q for a, b in zip(x, y)) ** (p / q)
-
-    return c
+    return NormCost(p, q)
 
 
 class DiscreteMeasureND:
@@ -91,14 +114,19 @@ class DiscreteCoupling:
     target: DiscreteMeasureND
 
     def validate(self) -> None:
-        row = [Fraction(0)] * len(self.source)
-        col = [Fraction(0)] * len(self.target)
+        """Margins checked exactly, as integers over one common denominator."""
+        mu, nu = self.source, self.target
+        L = math.lcm(mu.total, nu.total, *(m.denominator for _, _, m in self.entries))
+        row, col = [0] * len(mu), [0] * len(nu)
         for i, j, m in self.entries:
-            if m < 0:
+            k = m.numerator * (L // m.denominator)
+            if k < 0:
                 raise ValueError("coupling masses must be nonnegative")
-            row[i] += m
-            col[j] += m
-        if tuple(row) != self.source.masses or tuple(col) != self.target.masses:
+            row[i] += k
+            col[j] += k
+        want_row = [k * (L // mu.total) for k in mu.nums]
+        want_col = [k * (L // nu.total) for k in nu.nums]
+        if row != want_row or col != want_col:
             raise ValueError("coupling margins do not match the prescribed measures")
 
     def to_dict(self) -> dict:
@@ -111,18 +139,16 @@ class DiscreteCoupling:
         }
 
 
-def _cost_matrix(mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: Cost) -> list[list[float]]:
-    rows = []
-    for x in mu.locations:
-        r = []
-        for y in nu.locations:
-            c = cost(x, y)
-            if not math.isfinite(c):
-                # an infinite cost of finite atoms is an overflow
-                error = ValueError if math.isnan(c) else OverflowError
-                raise error(f"cost is not finite at ({x}, {y})")
-            r.append(c)
-        rows.append(r)
+def _cost_matrix(
+    mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: NormCost
+) -> list[list[float]]:
+    rows = cost.matrix(mu.locations, nu.locations)
+    for x, row in zip(mu.locations, rows):
+        # cell by cell: a row of finite cells can sum past the float range
+        if not all(map(math.isfinite, row)):
+            # an infinite cost of finite atoms is an overflow
+            y = nu.locations[list(map(math.isfinite, row)).index(False)]
+            raise OverflowError(f"cost is not finite at ({x}, {y})")
     return rows
 
 
@@ -161,7 +187,7 @@ def _transportation_simplex(
     for i, j in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    scale = max(1.0, max(abs(c) for row in cost for c in row))
+    scale = max(1.0, *(max(map(abs, row)) for row in cost))
     tol = 1e-12 * scale
     for _ in range(_MAX_PIVOTS):
         pot = [0.0] * (m + n)
@@ -176,15 +202,15 @@ def _transportation_simplex(
                     pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
                     stack.append(nb)
         u, v = pot[:m], pot[m:]
-        enter = None
-        for i in range(m):  # Bland: first improving cell in row-major order
-            for j in range(n):
-                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < -tol:
-                    enter = (i, j)
-                    break
-            if enter:
+        # Bland: the first improving cell in row-major order, priced a row
+        # at a time. A basic cell's reduced cost is 0 to within an ulp of
+        # its duals, far inside tol, so it never enters.
+        for i, (row, ui) in enumerate(zip(cost, u)):
+            reduced = [c - ui - x for c, x in zip(row, v)]
+            if min(reduced) < -tol:
+                enter = (i, next(j for j, r in enumerate(reduced) if r < -tol))
                 break
-        if enter is None:
+        else:
             return basis
         # the tree path from row enter[0] up to the common ancestor and down
         # to column enter[1]; with the entering cell it closes the pivot cycle
@@ -223,7 +249,7 @@ def _equal_uniform(mu: DiscreteMeasureND, nu: DiscreteMeasureND) -> bool:
 def solve_ot(
     mu: DiscreteMeasureND,
     nu: DiscreteMeasureND,
-    cost: Cost,
+    cost: NormCost,
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> tuple[float, DiscreteCoupling]:
     """Minimize the expected cost over all couplings of mu and nu.
@@ -265,7 +291,7 @@ def _assignment_basis(C: list[list[float]]) -> dict[tuple[int, int], int]:
 
 
 def brute_force_assignment(
-    mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: Cost
+    mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost: NormCost
 ) -> float:
     """Exhaustive minimum over all n! pairings; the oracle of the oracle (n small)."""
     if not _equal_uniform(mu, nu):

@@ -91,8 +91,10 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
         return _report(1.0, _w1_cdf_empirical(F, G), Method.CDF_INTEGRAL, 0.0)
     lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
     hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
-    if not lo < hi:
-        # e.g. N(1e20, 1) and N(1e20, 2): every clamped quantile rounds to 1e20
+    if not -math.inf < lo < hi < math.inf:
+        # e.g. N(1e20, 1) and N(1e20, 2): every clamped quantile rounds to
+        # 1e20; or an exponential rate near 5e-309, whose clamped upper
+        # quantile is inf (quadrature over an infinite end reads 0.0)
         raise QuadratureError(
             f"the cdf route cannot resolve the range [{lo!r}, {hi!r}] of these laws in floats"
         )

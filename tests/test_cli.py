@@ -225,6 +225,20 @@ class TestGridArguments:
         assert "division" not in err and "[1e+20, 1e+20]" in err
 
 
+    @pytest.mark.parametrize("rate", [1, 1e300])
+    def test_range_with_an_infinite_end_exit_4(self, tmp_path, rate, capsys):
+        # W_1 is about 1.8e308, but the slow law's clamped upper quantile is
+        # inf, and quadrature over [lo, inf] would read 0.0
+        a = tmp_path / "slow.json"
+        b = tmp_path / "fast.json"
+        a.write_text(json.dumps({"kind": "exponential", "rate": 5.56268464626801e-309}))
+        b.write_text(json.dumps({"kind": "exponential", "rate": rate}))
+        assert main(["compute", str(a), str(b), "--p", "1", "--method", "cdf"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "inf]" in err
+
 class TestOrderArguments:
     """In process through cli.main: --p and --q must be finite and >= 1 (exit 2)."""
 

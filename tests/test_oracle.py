@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -121,13 +122,21 @@ class TestSolveOt:
             witness.validate()
 
     def test_cost_scaling(self):
+        # |lam x - lam y|^2 = lam^2 |x - y|^2 on every cell, so atoms scaled
+        # by lam scale the p = 2 value by lam^2
         rng = random.Random(19)
         mu = random_discrete_nd(rng, 2)
         nu = random_discrete_nd(rng, 2)
         base, _ = solve_ot(mu, nu, power_cost(2))
         lam = 3.7
-        scaled, _ = solve_ot(mu, nu, lambda x, y: lam * power_cost(2)(x, y))
-        assert scaled == pytest.approx(lam * base, rel=1e-12)
+
+        def scaled(m):
+            return DiscreteMeasureND(
+                [(tuple(lam * c for c in x), k) for x, k in zip(m.locations, m.nums)]
+            )
+
+        value, _ = solve_ot(scaled(mu), scaled(nu), power_cost(2))
+        assert value == pytest.approx(lam**2 * base, rel=1e-12)
 
     def test_deterministic(self):
         rng = random.Random(23)
@@ -149,12 +158,11 @@ class TestSolveOt:
             solve_ot(mu, nu, power_cost(1))
 
     def test_nonfinite_cost(self):
-        # an infinite cost is an overflow (exit 4 in the CLI); NaN is not
-        mu = measure_1d(F_RUN)
+        # |1e200 - (-1e200)|^2 overflows a float: exit 4 in the CLI
+        mu = DiscreteMeasureND([((1e200,), 1)])
+        nu = DiscreteMeasureND([((-1e200,), 1)])
         with pytest.raises(OverflowError):
-            solve_ot(mu, mu, lambda x, y: math.inf)
-        with pytest.raises(ValueError):
-            solve_ot(mu, mu, lambda x, y: math.nan)
+            solve_ot(mu, nu, power_cost(2))
 
 
 def priced(coupling, cost):
@@ -224,6 +232,135 @@ class TestAssignmentPath:
         mu = DiscreteMeasureND([((float(k),), 1) for k in range(9)])
         with pytest.raises(ValueError):
             brute_force_assignment(mu, mu, power_cost(1))
+
+
+def bland_cell_by_cell(a, b, cost):
+    """Reference transportation simplex whose Bland scan tests one cell at
+    a time and skips the basic cells by lookup: the row-priced simplex must
+    take the same pivots."""
+    m, n = len(a), len(b)
+    basis = oracle._northwest_corner(a, b)
+    adj = [[] for _ in range(m + n)]
+    for i, j in basis:
+        adj[i].append(m + j)
+        adj[m + j].append(i)
+    scale = max(1.0, max(abs(c) for row in cost for c in row))
+    tol = 1e-12 * scale
+    for _ in range(oracle._MAX_PIVOTS):
+        pot = [0.0] * (m + n)
+        parent = [0] * (m + n)
+        depth = [0] * (m + n)
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            for nb in adj[k]:
+                if nb != parent[k]:
+                    parent[nb], depth[nb] = k, depth[k] + 1
+                    pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
+                    stack.append(nb)
+        u, v = pot[:m], pot[m:]
+        enter = None
+        for i in range(m):
+            for j in range(n):
+                if (i, j) not in basis and cost[i][j] - u[i] - v[j] < -tol:
+                    enter = (i, j)
+                    break
+            if enter:
+                break
+        if enter is None:
+            return basis
+        up, down = [], []
+        s, t = enter[0], m + enter[1]
+        while s != t:
+            if depth[s] >= depth[t]:
+                up.append(s)
+                s = parent[s]
+            else:
+                down.append(t)
+                t = parent[t]
+        nodes = up + [s] + down[::-1]
+        path = [(x, y - m) if x < m else (y, x - m) for x, y in zip(nodes, nodes[1:])]
+        minus = path[0::2]
+        theta = min(basis[c] for c in minus)
+        leave = min(c for c in minus if basis[c] == theta)
+        for k, c in enumerate(path):
+            basis[c] += theta if k % 2 else -theta
+        basis[enter] = theta
+        del basis[leave]
+        adj[enter[0]].append(m + enter[1])
+        adj[m + enter[1]].append(enter[0])
+        adj[leave[0]].remove(m + leave[1])
+        adj[m + leave[1]].remove(leave[0])
+    raise RuntimeError("transportation simplex failed to terminate")
+
+
+def test_row_pricing_takes_the_same_pivots():
+    # 40 seeded instances, every fourth of equal masses and equal counts
+    # (which solve_ot would send to its assignment path); half of them on a
+    # lattice, so cost ties and degenerate pivots occur
+    rng = random.Random(61)
+    for k in range(40):
+        d = rng.choice((1, 2, 3))
+        m, n = rng.randint(5, 20), rng.randint(5, 20)
+        if k % 4 == 0:
+            n = m
+        coordinate = (lambda: rng.randint(-4, 4) / 2) if k % 2 else (lambda: rng.uniform(-2, 2))
+
+        def measure(count):
+            return DiscreteMeasureND(
+                [(tuple(coordinate() for _ in range(d)), 1 if k % 4 == 0 else rng.randint(1, 9))
+                 for _ in range(count)]
+            )
+
+        mu, nu = measure(m), measure(n)
+        L = math.lcm(mu.total, nu.total)
+        a = [w * (L // mu.total) for w in mu.nums]
+        b = [w * (L // nu.total) for w in nu.nums]
+        C = oracle._cost_matrix(mu, nu, power_cost(rng.choice((1, 2, 3))))
+        want = bland_cell_by_cell(a, b, C)
+        got = oracle._transportation_simplex(a, b, C)
+        assert list(got.items()) == list(want.items())
+
+
+class TestNormCost:
+    ORDERS = [(1, 1), (2, 2), (3, 3), (1.5, 1.5), (1, 2), (2, 1), (3, 2)]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_matrix_is_the_per_pair_formula_bitwise(self, d, p, q):
+        rng = random.Random(67 + d)
+        xs = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(7)]
+        ys = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(5)]
+
+        # the two costs as closures of one pair each
+        def power(x, y):
+            return math.fsum(abs(a - b) ** p for a, b in zip(x, y))
+
+        def norm(x, y):
+            return math.fsum(abs(a - b) ** q for a, b in zip(x, y)) ** (p / q)
+
+        cost = norm_cost(p, q)
+        got = [[c.hex() for c in row] for row in cost.matrix(xs, ys)]
+        assert got == [[norm(x, y).hex() for y in ys] for x in xs]
+        if p == q:
+            assert power_cost(p) == cost
+            assert got == [[power(x, y).hex() for y in ys] for x in xs]
+        assert got == [[cost(x, y).hex() for y in ys] for x in xs]
+
+    def test_row_whose_sum_overflows(self):
+        # both cells are 1e308, and a row sum would be inf
+        mu = DiscreteMeasureND([((-1e308,), 1)])
+        nu = DiscreteMeasureND([((0.0,), 1), ((2.0,), 1)])
+        value, coupling = solve_ot(mu, nu, power_cost(1))
+        assert value == 1e308
+        coupling.validate()
+
+    def test_overflowing_cell_is_named(self):
+        # the cell (-1e308, -1e308) costs 0; (1e308, -1e308) is inf
+        mu = DiscreteMeasureND([((-1e308,), 1), ((1e308,), 1)])
+        nu = DiscreteMeasureND([((-1e308,), 1)])
+        with pytest.raises(OverflowError, match=re.escape("at ((1e+308,), (-1e+308,))")):
+            solve_ot(mu, nu, power_cost(1))
 
 
 class TestSimplexVsEnumeration:
