@@ -23,7 +23,6 @@ from .oracle import (
     DiscreteMeasureND,
     NormCost,
     brute_force_assignment,
-    norm_cost,
     power_cost,
     solve_ot,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "empirical_from_samples",
     "eval_M",
     "eval_W",
-    "norm_cost",
     "power_cost",
     "solve_ot",
     "w1_cdf",

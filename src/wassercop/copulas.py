@@ -70,17 +70,16 @@ class EmpiricalCopula:
         for row in data:
             if len(row) != dim:
                 raise ValueError(f"data rows must share one length, got {dim} and {len(row)}")
-            if not all(math.isfinite(x) for x in row):
+            if not all(map(math.isfinite, row)):
                 raise ValueError(f"data values must be finite, got {tuple(row)!r}")
         cols = []
-        for i in range(dim):
-            col = [row[i] for row in data]
-            order = sorted(range(n), key=lambda k: (col[k], k))
-            ranks = [0] * n
-            for r, k in enumerate(order):
-                ranks[k] = r
-            cols.append([r / n for r in ranks])
-        return cls([tuple(cols[i][j] for i in range(dim)) for j in range(n)])
+        for col in zip(*data):
+            ranks = [0.0] * n
+            # sorted is stable: tied values rank in row order
+            for r, k in enumerate(sorted(range(n), key=col.__getitem__)):
+                ranks[k] = r / n
+            cols.append(ranks)
+        return cls([tuple(col[j] for col in cols) for j in range(n)])
 
     def eval(self, u: Sequence[float]) -> float:
         u = _check_unit_vector(u)

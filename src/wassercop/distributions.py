@@ -120,7 +120,7 @@ class Empirical(Distribution1D):
         self._build([x for x, _ in pairs], [w for _, w in pairs])
 
     def _build(self, xs: Sequence, ws: Sequence) -> None:
-        xs = list(map(float, xs))
+        xs = [x + 0.0 for x in map(float, xs)]  # + 0.0 maps -0.0 to 0.0
         if not all(map(math.isfinite, xs)):
             bad = next(x for x in xs if not math.isfinite(x))
             raise ValueError(f"atom location must be finite, got {bad!r}")
@@ -133,11 +133,6 @@ class Empirical(Distribution1D):
     @property
     def locations(self) -> tuple[float, ...]:
         return self._locs
-
-    @cached_property
-    def weights(self) -> tuple[Fraction, ...]:
-        """Exact weights nums / total, built on first use."""
-        return tuple(Fraction(n, self.total) for n in self.nums)
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:

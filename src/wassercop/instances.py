@@ -20,20 +20,14 @@ def random_empirical(rng: random.Random, max_atoms: int = 12) -> Empirical:
     return Empirical(zip(locs, weights))
 
 
-def random_rank_rows(rng: random.Random, n: int, d: int) -> list[tuple[float, ...]]:
-    """Pseudo-observation rows whose columns are permutations of
-    {0, 1/n, ..., (n-1)/n}, the shifted-rank convention of
-    EmpiricalCopula.from_data."""
+def random_empirical_copula(rng: random.Random, n: int, d: int) -> EmpiricalCopula:
+    """The rank copula of d independently shuffled columns of 0..n-1."""
     cols = []
     for _ in range(d):
         ranks = list(range(n))
         rng.shuffle(ranks)
-        cols.append([r / n for r in ranks])
-    return [tuple(cols[i][j] for i in range(d)) for j in range(n)]
-
-
-def random_empirical_copula(rng: random.Random, n: int, d: int) -> EmpiricalCopula:
-    return EmpiricalCopula(random_rank_rows(rng, n, d))
+        cols.append(ranks)
+    return EmpiricalCopula.from_data(list(zip(*cols)))
 
 
 def random_margin(rng: random.Random):
@@ -45,11 +39,11 @@ def random_margin(rng: random.Random):
 
 
 def random_shared_instance(
-    rng: random.Random, d: int, max_rows: int = 10
+    rng: random.Random, d: int
 ) -> tuple[EmpiricalCopula, DiscreteMeasureND, DiscreteMeasureND]:
     """A copula C with rank rows and the Sklar assemblies on C of two random
     lists of d margins: two laws on R^d that share C by construction."""
-    n = rng.randint(2, max_rows)
+    n = rng.randint(2, 10)
     C = random_empirical_copula(rng, n, d)
     marginsF = [random_margin(rng) for _ in range(d)]
     marginsG = [random_margin(rng) for _ in range(d)]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import permutations
 from typing import Sequence
 
@@ -39,15 +38,12 @@ class NormCost:
         check_order(self.p)
         check_order(self.q, "q")
 
-    def __call__(self, x: tuple[float, ...], y: tuple[float, ...]) -> float:
-        s = math.fsum(abs(a - b) ** self.q for a, b in zip(x, y))
-        return s if self.p == self.q else s ** (self.p / self.q)
-
     def matrix(
         self, xs: Sequence[tuple[float, ...]], ys: Sequence[tuple[float, ...]]
     ) -> list[list[float]]:
-        """[[self(x, y) for y in ys] for x in xs], bit for bit, built a row
-        at a time from one list per coordinate."""
+        """The cost of every pair: row i, column j is the fsum over
+        coordinates of |xs[i][k] - ys[j][k]|^q, to the power p / q when
+        p != q. Built a row at a time from one list per coordinate."""
         q, r = self.q, self.p / self.q
         columns = list(zip(*ys))
         rows = []
@@ -63,11 +59,6 @@ def power_cost(p: float) -> NormCost:
     return NormCost(p, p)
 
 
-def norm_cost(p: float, q: float) -> NormCost:
-    """(q-norm of x - y)^p, the integrand of the W_{p,q} power."""
-    return NormCost(p, q)
-
-
 class DiscreteMeasureND:
     """Finitely supported probability measure on R^d with rational masses:
     sorted atoms with coprime integer numerators nums over their sum total."""
@@ -75,7 +66,7 @@ class DiscreteMeasureND:
     def __init__(self, atoms: Sequence[tuple[Sequence[float], object]]):
         checked, masses = [], []
         for loc, mass in atoms:
-            loc = tuple(float(c) for c in loc)
+            loc = tuple(float(c) + 0.0 for c in loc)  # + 0.0 maps -0.0 to 0.0
             if any(not math.isfinite(c) for c in loc):
                 raise ValueError("atom locations must be finite")
             if checked and len(loc) != len(checked[0]):
@@ -87,11 +78,6 @@ class DiscreteMeasureND:
         self.nums: tuple[int, ...] = tuple(nums)
         self.total = total
         self.dim = len(locs[0])
-
-    @cached_property
-    def masses(self) -> tuple[Fraction, ...]:
-        """Exact masses nums / total, built on first use."""
-        return tuple(Fraction(n, self.total) for n in self.nums)
 
     @classmethod
     def from_empirical(cls, d: Empirical) -> "DiscreteMeasureND":

@@ -30,8 +30,8 @@ from .instances import (
 )
 from .oracle import (
     DiscreteMeasureND,
+    NormCost,
     brute_force_assignment,
-    norm_cost,
     power_cost,
     solve_ot,
 )
@@ -76,13 +76,11 @@ def _margins(mu: DiscreteMeasureND) -> list[Empirical]:
     return [mu.margin(i) for i in range(mu.dim)]
 
 
-def suite_comonotone_optimality(
-    seed: int, pairs: int = 200, corrupt: bool = False
-) -> SuiteResult:
+def suite_comonotone_optimality(seed: int, corrupt: bool = False) -> SuiteResult:
     """Quantile-integral power equals the LP minimum, p in {1, 2, 3}."""
     rng = random.Random(seed)
     result = SuiteResult("comonotone_optimality")
-    for _ in range(pairs):
+    for _ in range(200):
         F, G = random_empirical(rng), random_empirical(rng)
         mu, nu = DiscreteMeasureND.from_empirical(F), DiscreteMeasureND.from_empirical(G)
         for p in (1.0, 2.0, 3.0):
@@ -92,7 +90,7 @@ def suite_comonotone_optimality(
     return result
 
 
-def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -> SuiteResult:
+def suite_formula_triangle(seed: int, corrupt: bool = False) -> SuiteResult:
     """The CDF-integral and quantile-integral routes agree at p = 1 on
     atomic pairs. The M-coupling route is certified elsewhere: on atomic
     pairs it is the quantile route's computation, which the comonotone suite
@@ -100,7 +98,7 @@ def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -
     the continuous suite."""
     rng = random.Random(seed)
     result = SuiteResult("formula_triangle")
-    for _ in range(pairs):
+    for _ in range(200):
         F, G = random_empirical(rng), random_empirical(rng)
         quantile = wp_quantile(F, G, 1.0).power_value + _shift(corrupt)
         gap = abs(w1_cdf(F, G).power_value - quantile)
@@ -108,11 +106,11 @@ def suite_formula_triangle(seed: int, pairs: int = 200, corrupt: bool = False) -
     return result
 
 
-def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -> SuiteResult:
+def suite_metric_axioms(seed: int, corrupt: bool = False) -> SuiteResult:
     """Identity, symmetry and the triangle inequality, p in {1, 2}."""
     rng = random.Random(seed)
     result = SuiteResult("metric_axioms")
-    for _ in range(triples):
+    for _ in range(1000):
         mu, nu, rho = (random_empirical(rng) for _ in range(3))
         for p in (1.0, 2.0):
             result.check(wp_quantile(mu, mu, p).value == 0.0)
@@ -126,7 +124,7 @@ def suite_metric_axioms(seed: int, triples: int = 1000, corrupt: bool = False) -
     return result
 
 
-def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
+def suite_decomposition(seed: int, corrupt: bool = False) -> SuiteResult:
     """Shared-copula LP equals the coordinatewise sum, d in {2, 3}, p in {1, 2, 3}.
 
     Both sides are evaluated on the same n-atom construction: the margins of
@@ -134,7 +132,7 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
     """
     rng = random.Random(seed)
     result = SuiteResult("decomposition")
-    for k in range(count):
+    for k in range(100):
         d = 2 + (k % 2)
         C, mu, nu = random_shared_instance(rng, d)
         fm, gm = _margins(mu), _margins(nu)
@@ -146,7 +144,7 @@ def suite_decomposition(seed: int, count: int = 100, corrupt: bool = False) -> S
     return result
 
 
-def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> SuiteResult:
+def suite_necessity(seed: int, corrupt: bool = False) -> SuiteResult:
     """Different copulas with equal margins: LP > 0 while the sum vanishes;
     the projection lower bound holds on arbitrary instances."""
     rng = random.Random(seed)
@@ -155,7 +153,7 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
     naive = wp_lower_bound_nd(_margins(mu), _margins(nu), 2.0) + _shift(corrupt)
     result = SuiteResult("necessity", detail=f"witness: lp={lp!r}, coordinatewise sum={naive!r}")
     result.check(lp >= 0.1 and naive == 0.0)
-    for k in range(count):
+    for k in range(100):
         d = 2 + (k % 2)
         a = random_discrete_nd(rng, d)
         b = random_discrete_nd(rng, d)
@@ -165,9 +163,7 @@ def suite_necessity(seed: int, count: int = 100, corrupt: bool = False) -> Suite
     return result
 
 
-def suite_frechet_hoeffding(
-    seed: int, evaluations: int = 10_000, corrupt: bool = False
-) -> SuiteResult:
+def suite_frechet_hoeffding(seed: int, corrupt: bool = False) -> SuiteResult:
     """W(u) - s <= C(u) <= M(u) + s on random evaluations of empirical
     copulas, d in {2, 3, 4}, with the slack s = 1/n + 1e-12 of an n-row
     rank copula. The gap is the excess over that slack.
@@ -181,7 +177,7 @@ def suite_frechet_hoeffding(
         for d in (2, 3, 4)
         for _ in range(5)
     ]
-    for k in range(evaluations):
+    for k in range(10_000):
         c = copulas[k % len(copulas)]
         slack = 1.0 / c.n + 1e-12
         u = tuple(rng.random() for _ in range(c.dim))
@@ -195,7 +191,7 @@ def suite_frechet_hoeffding(
     return result
 
 
-def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> SuiteResult:
+def suite_wpq_sandwich(seed: int, corrupt: bool = False) -> SuiteResult:
     """Exact W_{p,q}^p inside the norm-equivalence sandwich.
 
     corrupt=True swaps p and q in the sandwich constant, since a small shift
@@ -205,9 +201,9 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
     result = SuiteResult("wpq_sandwich", max_gap=-math.inf)
     for p, q in ((1.0, 2.0), (2.0, 1.0), (2.0, 3.0), (3.0, 2.0)):
         for d in (2, 3):
-            for _ in range(per_case):
+            for _ in range(50):
                 C, mu, nu = random_shared_instance(rng, d)
-                lp, _ = solve_ot(mu, nu, norm_cost(p, q))
+                lp, _ = solve_ot(mu, nu, NormCost(p, q))
                 report = wpq_bounds(C, _margins(mu), _margins(nu), p, q)
                 lo, hi = report.bounds
                 if corrupt:
@@ -217,9 +213,7 @@ def suite_wpq_sandwich(seed: int, per_case: int = 50, corrupt: bool = False) -> 
     return result
 
 
-def suite_continuous_sanity(
-    seed: int = 0, atoms: int = 200, corrupt: bool = False
-) -> SuiteResult:
+def suite_continuous_sanity(seed: int, corrupt: bool = False) -> SuiteResult:
     """W_2(U(0,1), U(0,2))^2 = 1/3 by the closed-form quantile cells, by
     quadrature along the comonotone coupling and, within 2%, by the
     discretized LP. The seed is unused: the instance is fixed."""
@@ -230,6 +224,7 @@ def suite_continuous_sanity(
     for formula in (cells, quad):
         gap = abs(formula - 1.0 / 3.0)
         result.check(gap <= 1e-8, gap)
+    atoms = 200  # midpoints of each law's discretization
     mu = DiscreteMeasureND([((F.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     nu = DiscreteMeasureND([((G.quantile((k + 0.5) / atoms),), 1) for k in range(atoms)])
     lp, _ = solve_ot(mu, nu, power_cost(2.0), atom_cap=atoms)
@@ -239,13 +234,14 @@ def suite_continuous_sanity(
     return result
 
 
-def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> SuiteResult:
+def suite_assignment(seed: int, corrupt: bool = False) -> SuiteResult:
     """solve_ot on equal-count, equal-mass instances equals exhaustive
-    enumeration for n <= 6: its coupling, priced as the fsum of its entries'
-    costs over n, is the n! minimum exactly."""
+    enumeration for n <= 6: its coupling, priced as the fsum over n of its
+    cells of the cost matrix (the cells brute_force_assignment enumerates),
+    is the n! minimum exactly."""
     rng = random.Random(seed)
     result = SuiteResult("assignment")
-    for _ in range(count):
+    for _ in range(40):
         n = rng.randint(1, 6)
         d = rng.randint(1, 3)
         mu = DiscreteMeasureND(
@@ -258,8 +254,8 @@ def suite_assignment(seed: int, count: int = 40, corrupt: bool = False) -> Suite
             continue
         cost = power_cost(2.0)
         _, coupling = solve_ot(mu, nu, cost)
-        xs, ys = mu.locations, nu.locations
-        priced = math.fsum(cost(xs[i], ys[j]) for i, j, _ in coupling.entries) / n
+        C = cost.matrix(mu.locations, nu.locations)
+        priced = math.fsum(C[i][j] for i, j, _ in coupling.entries) / n
         gap = abs(priced + _shift(corrupt) - brute_force_assignment(mu, nu, cost))
         result.check(gap == 0.0, gap)
     return result

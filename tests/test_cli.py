@@ -360,6 +360,19 @@ class TestSample:
         rows = r.stdout.strip().splitlines()[1:]
         assert len(rows) == 1
 
+    def test_signed_zeros_in_either_order(self, tmp_path, point_masses, capsys):
+        # the atoms 0.0 and -0.0 merge into one atom at 0.0 whatever their
+        # order, so sample and oracle print the same bytes
+        outputs = []
+        for name, atoms in (("zp.json", [[0.0, 1], [-0.0, 1]]), ("pz.json", [[-0.0, 1], [0.0, 1]])):
+            f = tmp_path / name
+            f.write_text(json.dumps({"kind": "empirical", "atoms": atoms}))
+            assert main(["sample", str(f), point_masses[1]]) == 0
+            assert main(["oracle", str(f), point_masses[1], "--p", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[:2] == ["x,y,mass", "0.0,3.0,1.0"]
+
 
 class TestOracle:
     def test_witness_json(self, running_pair):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from wassercop import (
     eval_W,
 )
 from wassercop.copulas import COUPLING_GRID_N, comonotone_cells
-from wassercop.instances import random_rank_rows
+from wassercop.instances import random_empirical_copula
 
 HALF = Fraction(1, 2)
 F_RUN = Empirical([(0, HALF), (1, HALF)])
@@ -189,6 +190,12 @@ class TestFromData:
         assert sorted(r[0] for r in c.rows) == [0.0, 1 / 3, 2 / 3]
         assert c.rows[1][0] == 0.0  # smallest first coordinate gets rank 0
 
+    def test_tied_values_rank_in_row_order(self):
+        # -0.0 ties with 0.0; every rank comes back as a positive float
+        c = EmpiricalCopula.from_data([(1.0, 0.0), (1.0, -0.0), (0.0, 0.0)])
+        assert c.rows == ((1 / 3, 0.0), (2 / 3, 1 / 3), (0.0, 2 / 3))
+        assert all(math.copysign(1.0, x) == 1.0 for row in c.rows for x in row)
+
     def test_margins_within_discretization(self):
         rng = random.Random(9)
         c = EmpiricalCopula.from_data(
@@ -204,8 +211,8 @@ class TestFromData:
 @given(st.integers(1, 60), st.integers(2, 5), st.integers(0, 10**6))
 def test_ranking_leaves_rank_rows_unchanged(n, d, seed):
     # so a copula file of shifted ranks reads the same when it is ranked
-    rows = random_rank_rows(random.Random(seed), n, d)
-    assert list(EmpiricalCopula.from_data(rows).rows) == rows
+    rows = random_empirical_copula(random.Random(seed), n, d).rows
+    assert EmpiricalCopula.from_data(rows).rows == rows
 
 
 @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=4))
@@ -220,13 +227,7 @@ def test_bounds_order_everywhere(u):
     st.integers(0, 10**6),
 )
 def test_empirical_copula_within_bounds(d, n, seed, useed):
-    rng = random.Random(seed)
-    cols = []
-    for _ in range(d):
-        ranks = list(range(n))
-        rng.shuffle(ranks)
-        cols.append([r / n for r in ranks])
-    c = EmpiricalCopula([tuple(cols[i][j] for i in range(d)) for j in range(n)])
+    c = random_empirical_copula(random.Random(seed), n, d)
     urng = random.Random(useed)
     u = tuple(urng.random() for _ in range(d))
     assert within_bounds(c, u)

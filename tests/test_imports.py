@@ -122,20 +122,34 @@ def test_oracle_imports_no_formula():
     assert package_imports("copulas").isdisjoint({"wasserstein", "oracle", "verify"})
 
 
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def tracing_constant(name: str):
+    """The literal that perfbench/tracing.py assigns to name."""
+    return next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACING.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == [name]
+    )
+
+
 def test_public_and_traced_names_resolve():
     # perfbench/tracing.py wraps these layers by name; a rename must fail here
     # rather than crash a traced benchmark run
     import wassercop
 
-    tracing = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    timed = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(tracing.read_text()).body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TIMED"]
-    )
+    timed = tracing_constant("TIMED")
     assert timed
     for qualname in timed:
         module, fn = qualname.split(".")
         assert callable(getattr(importlib.import_module(f"wassercop.{module}"), fn)), qualname
     for name in wassercop.__all__:
         assert hasattr(wassercop, name), name
+
+
+def test_traced_suites_are_the_verify_suites():
+    # perfbench/tracing.py times each verify suite by its verify.SUITES key
+    from wassercop import verify
+
+    assert tracing_constant("SUITES") == tuple(verify.SUITES)

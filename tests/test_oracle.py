@@ -11,10 +11,10 @@ from wassercop import (
     DiscreteMeasureND,
     Empirical,
     EmpiricalCopula,
+    NormCost,
     Uniform,
     brute_force_assignment,
     discretize_joint,
-    norm_cost,
     power_cost,
     solve_ot,
     wp_lower_bound_nd,
@@ -68,20 +68,23 @@ def test_input_checks(build, error, fragment):
         build()
 
 
-def enumerate_2x2_minimum(a, b, xs, ys, cost):
+def enumerate_2x2_minimum(mu, nu, cost):
     """Independent oracle for 2x2 instances: the coupling matrix has one free
     parameter t = mass(0 -> 0); the objective is linear in t, so scanning a
     fine grid of the feasible interval brackets the minimum tightly."""
-    lo = max(0.0, float(a[0]) - float(b[1]))
-    hi = min(float(a[0]), float(b[0]))
+    a = [k / mu.total for k in mu.nums]
+    b = [k / nu.total for k in nu.nums]
+    C = cost.matrix(mu.locations, nu.locations)
+    lo = max(0.0, a[0] - b[1])
+    hi = min(a[0], b[0])
     best = math.inf
     for k in range(1001):
         t = lo + (hi - lo) * k / 1000
         val = (
-            t * cost((xs[0],), (ys[0],))
-            + (float(a[0]) - t) * cost((xs[0],), (ys[1],))
-            + (float(b[0]) - t) * cost((xs[1],), (ys[0],))
-            + (float(a[1]) - float(b[0]) + t) * cost((xs[1],), (ys[1],))
+            t * C[0][0]
+            + (a[0] - t) * C[0][1]
+            + (b[0] - t) * C[1][0]
+            + (a[1] - b[0] + t) * C[1][1]
         )
         best = min(best, val)
     return best
@@ -105,9 +108,7 @@ class TestSolveOt:
         cost = power_cost(1)
         value, witness = solve_ot(mu, nu, cost)
         assert value == pytest.approx(1.0, abs=1e-12)
-        ref = enumerate_2x2_minimum(
-            mu.masses, nu.masses, (0.0, 1.0), (0.0, 2.0), cost
-        )
+        ref = enumerate_2x2_minimum(mu, nu, cost)
         assert value == pytest.approx(ref, abs=1e-9)
         # extremal coupling: mass(0 -> 0) = 1/4
         entries = {(i, j): m for i, j, m in witness.entries}
@@ -166,10 +167,12 @@ class TestSolveOt:
 
 
 def priced(coupling, cost):
-    """fsum of the costs of a coupling's entries over n: for a permutation
-    coupling of n atoms each, the same sum brute_force_assignment takes."""
+    """fsum of the cost matrix's cells under a coupling's entries over n: for
+    a permutation coupling of n atoms each, the same sum brute_force_assignment
+    takes."""
     xs, ys = coupling.source.locations, coupling.target.locations
-    return math.fsum(cost(xs[i], ys[j]) for i, j, _ in coupling.entries) / len(xs)
+    C = cost.matrix(xs, ys)
+    return math.fsum(C[i][j] for i, j, _ in coupling.entries) / len(xs)
 
 
 class TestAssignmentPath:
@@ -339,13 +342,12 @@ class TestNormCost:
         def norm(x, y):
             return math.fsum(abs(a - b) ** q for a, b in zip(x, y)) ** (p / q)
 
-        cost = norm_cost(p, q)
+        cost = NormCost(p, q)
         got = [[c.hex() for c in row] for row in cost.matrix(xs, ys)]
         assert got == [[norm(x, y).hex() for y in ys] for x in xs]
         if p == q:
             assert power_cost(p) == cost
             assert got == [[power(x, y).hex() for y in ys] for x in xs]
-        assert got == [[cost(x, y).hex() for y in ys] for x in xs]
 
     def test_row_whose_sum_overflows(self):
         # both cells are 1e308, and a row sum would be inf
@@ -378,14 +380,16 @@ class TestSimplexVsEnumeration:
             d = rng.choice((1, 2))
             mu = random_discrete_nd(rng, d, max_atoms=3)
             nu = random_discrete_nd(rng, d, max_atoms=3)
-            den = math.lcm(*[m.denominator for m in mu.masses + nu.masses])
+            # the lcm of the masses' denominators, as each measure's nums are coprime
+            den = math.lcm(mu.total, nu.total)
             if den > 7:
                 continue
             cost = power_cost(2)
-            xs = [x for x, m in zip(mu.locations, mu.masses) for _ in range(int(m * den))]
-            ys = [y for y, m in zip(nu.locations, nu.masses) for _ in range(int(m * den))]
+            xs = [x for x, k in zip(mu.locations, mu.nums) for _ in range(k * den // mu.total)]
+            ys = [y for y, k in zip(nu.locations, nu.nums) for _ in range(k * den // nu.total)]
+            C = cost.matrix(xs, ys)
             brute = min(
-                math.fsum(cost(x, ys[s]) for x, s in zip(xs, sigma))
+                math.fsum(C[i][s] for i, s in enumerate(sigma))
                 for sigma in permutations(range(den))
             ) / den
             simplex, _ = solve_ot(mu, nu, cost)
@@ -419,11 +423,11 @@ def highs_value(mu: DiscreteMeasureND, nu: DiscreteMeasureND, cost) -> float:
     from scipy.optimize import linprog
 
     m, n = len(mu), len(nu)
-    C = np.array([[cost(x, y) for y in nu.locations] for x in mu.locations])
+    C = np.array(cost.matrix(mu.locations, nu.locations))
     res = linprog(
         C.ravel(),
         A_eq=np.vstack([np.kron(np.eye(m), np.ones((1, n))), np.kron(np.ones((1, m)), np.eye(n))]),
-        b_eq=np.array([float(w) for w in mu.masses + nu.masses]),
+        b_eq=np.array([k / mu.total for k in mu.nums] + [k / nu.total for k in nu.nums]),
         bounds=(0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
@@ -514,7 +518,7 @@ class TestVerifyOps:
     def test_wpq_sandwich_comonotone_rows(self):
         C = EmpiricalCopula([(k / 5, k / 5) for k in range(5)])
         mu, nu = shared_pair(C, (Uniform(0, 1), Uniform(0, 3)), (Uniform(0, 2), Uniform(1, 2)))
-        lp, _ = solve_ot(mu, nu, norm_cost(2, 1))
+        lp, _ = solve_ot(mu, nu, NormCost(2, 1))
         lo, hi = wpq_bounds(C, margins(mu), margins(nu), 2, 1).bounds
         assert lo - 1e-10 <= lp <= hi + 1e-10
 
@@ -522,19 +526,21 @@ class TestVerifyOps:
         # d = 1: the q-norm is the absolute value, so the LP, the quantile
         # integral and both bounds coincide
         mu, nu = measure_1d(F_RUN), measure_1d(G_RUN)
-        lp, _ = solve_ot(mu, nu, norm_cost(2, 1))
+        lp, _ = solve_ot(mu, nu, NormCost(2, 1))
         s = wp_quantile(F_RUN, G_RUN, 2).power_value
         assert lp == pytest.approx(s, abs=1e-12)
 
 
 def test_duplicate_atoms_merge():
-    mu = DiscreteMeasureND([((1.0, 2.0), 1), ((1.0, 2.0), 1), ((0.0, 0.0), 2)])
-    assert len(mu) == 2
-    assert sum(mu.masses) == 1
+    # 0.0 == -0.0, so the signed zeros merge too: at 0.0 in either order
+    atoms = [((1.0, 2.0), 1), ((1.0, 2.0), 1), ((0.0, -0.0), 1), ((-0.0, 0.0), 1)]
+    for mu in (DiscreteMeasureND(atoms), DiscreteMeasureND(atoms[::-1])):
+        assert repr(mu.locations) == "((0.0, 0.0), (1.0, 2.0))"
+        assert (mu.nums, mu.total) == ((1, 1), 2)
 
 
 def test_margin_projection():
     mu = DiscreteMeasureND([((0.0, 1.0), 1), ((0.0, 2.0), 1), ((3.0, 1.0), 2)])
     m0 = mu.margin(0)
     assert m0.locations == (0.0, 3.0)
-    assert m0.weights == (Fraction(1, 2), Fraction(1, 2))
+    assert (m0.nums, m0.total) == ((1, 1), 2)

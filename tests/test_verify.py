@@ -1,58 +1,45 @@
-from functools import partial
+from functools import cache
 
 import pytest
 
 from wassercop.verify import SUITES, run_suites
 
-# reduced sizes through each suite's own size argument, so every suite runs
-# in a fraction of a second
-SMALL = {
-    "comonotone": {"pairs": 5},
-    "formula_triangle": {"pairs": 5},
-    "metric": {"triples": 5},
-    "decomposition": {"count": 4},
-    "necessity": {"count": 4},
-    "frechet_hoeffding": {"evaluations": 30},
-    "wpq_sandwich": {"per_case": 1},
-    "continuous": {"atoms": 20},
-    "assignment": {"count": 5},
-}
+
+@cache
+def clean(name):
+    """The suite's verdict at seed 0, run once for the tests below."""
+    return SUITES[name](0)
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
-def test_corruption_fails_every_suite(name, monkeypatch):
-    monkeypatch.setitem(SUITES, name, partial(SUITES[name], **SMALL[name]))
-    assert run_suites([name])[0].passed is True
+def test_corruption_fails_every_suite(name):
+    assert clean(name).passed is True
     assert run_suites([name], corrupt=True)[0].passed is False
 
 
-# each suite's number of checks at the SMALL sizes: per instance, one check
-# per order p and per rule
-SMALL_CHECKS = {
-    "comonotone": 5 * 3,
-    "formula_triangle": 5 * 1,
-    "metric": 5 * 6,
-    "decomposition": 4 * 3,
-    "necessity": 4 + 1,
-    "frechet_hoeffding": 30,
-    "wpq_sandwich": 1 * 8,
+# each suite's number of checks: per instance, one check per order p and per
+# rule; the assignment suite would skip an instance whose random atoms merge
+CHECKS = {
+    "comonotone": 200 * 3,
+    "formula_triangle": 200 * 1,
+    "metric": 1000 * 6,
+    "decomposition": 100 * 3,
+    "necessity": 100 + 1,
+    "frechet_hoeffding": 10_000,
+    "wpq_sandwich": 4 * 2 * 50,
     "continuous": 3,
+    "assignment": 40,
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_check_counts(name):
-    checks = SUITES[name](0, **SMALL[name]).checks
-    if name == "assignment":
-        # instances whose random atoms merge are skipped
-        assert 1 <= checks <= SMALL[name]["count"]
-    else:
-        assert checks == SMALL_CHECKS[name]
+    assert clean(name).checks == CHECKS[name]
 
 
 def test_frechet_hoeffding_reports_closest_approach():
     # the gap is the excess over the slack, negative on a clean run
-    result = SUITES["frechet_hoeffding"](0, evaluations=30)
+    result = clean("frechet_hoeffding")
     assert result.passed and result.max_gap < 0
 
 

@@ -13,10 +13,10 @@ from wassercop import (
     InputError,
     Method,
     Normal,
+    NormCost,
     Uniform,
     comonotone_coupling,
     empirical_from_samples,
-    norm_cost,
     power_cost,
     solve_ot,
     w1_cdf,
@@ -199,8 +199,8 @@ def test_scale_equivariance():
         F = random_empirical(rng)
         G = random_empirical(rng)
         a, b = rng.uniform(-3, 3) or 1.0, rng.uniform(-5, 5)
-        Fs = Empirical([(a * x + b, w) for x, w in zip(F.locations, F.weights)])
-        Gs = Empirical([(a * x + b, w) for x, w in zip(G.locations, G.weights)])
+        Fs = Empirical([(a * x + b, w) for x, w in zip(F.locations, F.nums)])
+        Gs = Empirical([(a * x + b, w) for x, w in zip(G.locations, G.nums)])
         for p in (1, 2):
             base = wp_quantile(F, G, p).value
             scaled = wp_quantile(Fs, Gs, p).value
@@ -310,14 +310,14 @@ def test_order_must_be_finite_and_at_least_one(call, p):
         lambda: wp_shared_nd(M2, (F_RUN,) * 3, (G_RUN,) * 3, 2),
         lambda: wpq_bounds(M2, (F_RUN,) * 2, (G_RUN,) * 2, 2, 2),
         lambda: power_cost(0.5),
-        lambda: norm_cost(0.5, 2),
-        lambda: norm_cost(2, 0.25),
+        lambda: NormCost(0.5, 2),
+        lambda: NormCost(2, 0.25),
         lambda: solve_ot(DiscreteMeasureND([((0.0,), 1)]), DiscreteMeasureND([((1.0,), 1)]),
                          power_cost(2), atom_cap=0),
         lambda: load_copula("no-such-copula.csv"),
     ],
     ids=["check_order", "quad_tol", "coupling-grid-n", "margin-counts", "copula-required",
-         "copula-dim", "p-equals-q", "power_cost", "norm_cost-p", "norm_cost-q", "atom-cap", "missing-file"],
+         "copula-dim", "p-equals-q", "power_cost", "NormCost-p", "NormCost-q", "atom-cap", "missing-file"],
 )
 def test_bad_arguments_raise_input_error(call):
     # InputError is what the CLI maps to exit 2; it stays a ValueError
