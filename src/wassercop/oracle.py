@@ -5,9 +5,12 @@ exact, as integer numerators over a common denominator, so couplings satisfy
 their margin constraints exactly, and the only floating-point error in a
 reported value is cost evaluation (one NormCost matrix, built a row at a
 time). The solver is a transportation simplex with Bland's rule
-(deterministic, terminates) that pivots on those integers, with an
-assignment fast path for equal-count uniform-mass instances and an
-exhaustive permutation oracle for tiny ones. It imports none of the formulas
+(deterministic, terminates) that pivots on those integers. After a pivot it
+re-walks only the subtree of the basis tree that the leaving edge cut off,
+and re-prices a row that had no improving cell only in the columns whose
+duals moved; the pivots are Bland's all the same. There is an assignment
+fast path for equal-count uniform-mass instances and an exhaustive
+permutation oracle for tiny ones. It imports none of the formulas
 it certifies; the acceptance rules that compare the two live in
 wassercop.verify.
 """
@@ -164,8 +167,15 @@ def _transportation_simplex(
     """Optimal basis for integer supplies a and demands b of equal sum.
 
     The basis is a spanning tree on m row nodes 0..m-1 and n column nodes
-    m..m+n-1. Each pivot walks it once from row 0 for the duals (u[i] is
-    pot[i], v[j] is pot[m + j]) and each node's parent and depth.
+    m..m+n-1, rooted at row 0. Each node keeps its parent, its depth and
+    its dual (u[i] is pot[i], v[j] is pot[m + j]), the cost of the edge to
+    its parent minus the parent's dual. The pivots are Bland's: the first
+    improving cell in row-major order enters. A pivot cuts the subtree below
+    the leaving edge off the tree and hangs it from the entering edge, so
+    only that subtree is walked again; every other dual keeps its tree path,
+    and so its value, bitwise. A row that had no improving cell at the last
+    duals, and whose own dual did not move, is re-priced only in the
+    columns whose duals moved.
     """
     m, n = len(a), len(b)
     basis = _northwest_corner(a, b)
@@ -175,33 +185,50 @@ def _transportation_simplex(
         adj[m + j].append(i)
     scale = max(1.0, *(max(map(abs, row)) for row in cost))
     tol = 1e-12 * scale
-    for _ in range(_MAX_PIVOTS):
-        pot = [0.0] * (m + n)
-        parent = [0] * (m + n)
-        depth = [0] * (m + n)
-        stack = [0]
-        while stack:
-            k = stack.pop()
+    pot = [0.0] * (m + n)
+    parent = [0] * (m + n)
+    depth = [0] * (m + n)
+
+    def walk(top: int) -> list[int]:
+        # the subtree below top, whose parent, depth and dual are set
+        nodes = [top]
+        for k in nodes:
+            pk, dk, uk = parent[k], depth[k] + 1, pot[k]
             for nb in adj[k]:
-                if nb != parent[k]:
-                    parent[nb], depth[nb] = k, depth[k] + 1
-                    pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
-                    stack.append(nb)
-        u, v = pot[:m], pot[m:]
-        # Bland: the first improving cell in row-major order, priced a row
-        # at a time. A basic cell's reduced cost is 0 to within an ulp of
-        # its duals, far inside tol, so it never enters.
-        for i, (row, ui) in enumerate(zip(cost, u)):
+                if nb != pk:
+                    parent[nb], depth[nb] = k, dk
+                    pot[nb] = (cost[k][nb - m] if k < m else cost[nb][k - m]) - uk
+                    nodes.append(nb)
+        return nodes
+
+    walk(0)
+    # clean[i]: row i was priced at the last duals and had no improving cell
+    clean = [False] * m
+    moved: list[int] = []  # the columns whose duals the last pivot moved
+    for _ in range(_MAX_PIVOTS):
+        v = pot[m:]
+        # A basic cell's reduced cost is 0 to within an ulp of its duals, far
+        # inside tol, so it never enters. In a clean row only a moved column
+        # can have become improving, and the first of them is Bland's.
+        for i, row in enumerate(cost):
+            ui = pot[i]
+            if clean[i]:
+                j = next((j for j in moved if row[j] - ui - v[j] < -tol), None)
+                if j is not None:
+                    break
+                continue
             reduced = [c - ui - x for c, x in zip(row, v)]
             if min(reduced) < -tol:
-                enter = (i, next(j for j, r in enumerate(reduced) if r < -tol))
+                j = next(j for j, r in enumerate(reduced) if r < -tol)
                 break
+            clean[i] = True
         else:
             return basis
-        # the tree path from row enter[0] up to the common ancestor and down
-        # to column enter[1]; with the entering cell it closes the pivot cycle
+        clean[i:] = [False] * (m - i)
+        # the tree path from row i up to the common ancestor and down to
+        # column j; with the entering cell it closes the pivot cycle
         up, down = [], []
-        s, t = enter[0], m + enter[1]
+        s, t = i, m + j
         while s != t:
             if depth[s] >= depth[t]:
                 up.append(s)
@@ -218,12 +245,23 @@ def _transportation_simplex(
         leave = min(c for c in minus if basis[c] == theta)
         for k, c in enumerate(path):
             basis[c] += theta if k % 2 else -theta
-        basis[enter] = theta
+        basis[i, j] = theta
         del basis[leave]
-        adj[enter[0]].append(m + enter[1])
-        adj[m + enter[1]].append(enter[0])
+        adj[i].append(m + j)
+        adj[m + j].append(i)
         adj[leave[0]].remove(m + leave[1])
         adj[m + leave[1]].remove(leave[0])
+        # the leaving edge cuts off the subtree below its child end: on the
+        # up chain that subtree holds the entering row, else its column
+        top, anchor = (i, m + j) if path.index(leave) < len(up) else (m + j, i)
+        parent[top], depth[top] = anchor, depth[anchor] + 1
+        pot[top] = cost[i][j] - pot[anchor]
+        moved = []
+        for k in sorted(walk(top)):
+            if k < m:
+                clean[k] = False
+            else:
+                moved.append(k - m)
     raise RuntimeError("transportation simplex failed to terminate")
 
 
@@ -245,7 +283,7 @@ def solve_ot(
     is part of the contract.
     """
     if mu.dim != nu.dim:
-        raise ValueError("measures must live on the same R^d")
+        raise InputError("measures must live on the same R^d")
     if atom_cap < 1:
         raise InputError(f"atom cap must be >= 1, got {atom_cap!r}")
     if len(mu) > atom_cap or len(nu) > atom_cap:

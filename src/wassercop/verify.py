@@ -277,7 +277,8 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 def run_suites(
     names: list[str] | None = None, seed: int = 0, corrupt: bool = False
 ) -> list[SuiteResult]:
-    chosen = names or list(SUITES)
+    # a suite named twice runs once, in the order the names first appear
+    chosen = list(dict.fromkeys(names or SUITES))
     for name in chosen:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")

@@ -335,6 +335,18 @@ class TestVerify:
         b = run_cli("verify", "--suite", "assignment", "--seed", "5")
         assert a.stdout == b.stdout
 
+    def test_repeated_suite_runs_once(self, capsys):
+        # one line per suite, in first-seen order: CI counts the PASS lines
+        argv = ["verify", "--suite", "continuous", "--suite", "assignment"]
+        assert main(argv + ["--suite", "continuous", "--suite", "assignment"]) == 0
+        out, _ = capsys.readouterr()
+        assert main(argv) == 0
+        assert out == capsys.readouterr().out
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS continuous_sanity",
+            "PASS assignment",
+        ]
+
 
 class TestSample:
     def test_running_example_atoms(self, running_pair, tmp_path):

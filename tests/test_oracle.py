@@ -11,6 +11,7 @@ from wassercop import (
     DiscreteMeasureND,
     Empirical,
     EmpiricalCopula,
+    InputError,
     NormCost,
     Uniform,
     brute_force_assignment,
@@ -153,9 +154,10 @@ class TestSolveOt:
             solve_ot(measure_1d(big), measure_1d(big), power_cost(1))
 
     def test_dim_mismatch(self):
+        # an argument check: InputError, exit 2 in the CLI
         mu = DiscreteMeasureND([((0.0,), 1)])
         nu = DiscreteMeasureND([((0.0, 0.0), 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="same R"):
             solve_ot(mu, nu, power_cost(1))
 
     def test_nonfinite_cost(self):
@@ -297,29 +299,42 @@ def bland_cell_by_cell(a, b, cost):
     raise RuntimeError("transportation simplex failed to terminate")
 
 
+def bland_instance(rng, d, m, n, lattice, equal_masses):
+    """Integer supplies and demands over L and the cost matrix of two random
+    measures on R^d, with m and n atoms (fewer where lattice atoms merge)."""
+    coordinate = (lambda: rng.randint(-4, 4) / 2) if lattice else (lambda: rng.uniform(-2, 2))
+
+    def measure(count):
+        return DiscreteMeasureND(
+            [(tuple(coordinate() for _ in range(d)), 1 if equal_masses else rng.randint(1, 9))
+             for _ in range(count)]
+        )
+
+    mu, nu = measure(m), measure(n)
+    L = math.lcm(mu.total, nu.total)
+    a = [w * (L // mu.total) for w in mu.nums]
+    b = [w * (L // nu.total) for w in nu.nums]
+    return a, b, oracle._cost_matrix(mu, nu, power_cost(rng.choice((1, 2, 3))))
+
+
 def test_row_pricing_takes_the_same_pivots():
     # 40 seeded instances, every fourth of equal masses and equal counts
     # (which solve_ot would send to its assignment path); half of them on a
-    # lattice, so cost ties and degenerate pivots occur
+    # lattice, so cost ties and degenerate pivots occur. Six more at 32-48
+    # atoms in R^3 with masses 1..9 take thousands of pivots between them,
+    # so rows stay clean over many pivots and deep subtrees are re-hung.
     rng = random.Random(61)
+    instances = []
     for k in range(40):
         d = rng.choice((1, 2, 3))
         m, n = rng.randint(5, 20), rng.randint(5, 20)
         if k % 4 == 0:
             n = m
-        coordinate = (lambda: rng.randint(-4, 4) / 2) if k % 2 else (lambda: rng.uniform(-2, 2))
-
-        def measure(count):
-            return DiscreteMeasureND(
-                [(tuple(coordinate() for _ in range(d)), 1 if k % 4 == 0 else rng.randint(1, 9))
-                 for _ in range(count)]
-            )
-
-        mu, nu = measure(m), measure(n)
-        L = math.lcm(mu.total, nu.total)
-        a = [w * (L // mu.total) for w in mu.nums]
-        b = [w * (L // nu.total) for w in nu.nums]
-        C = oracle._cost_matrix(mu, nu, power_cost(rng.choice((1, 2, 3))))
+        instances.append(bland_instance(rng, d, m, n, k % 2, k % 4 == 0))
+    for k in range(6):
+        m, n = rng.randint(32, 48), rng.randint(32, 48)
+        instances.append(bland_instance(rng, 3, m, n, k % 2, False))
+    for a, b, C in instances:
         want = bland_cell_by_cell(a, b, C)
         got = oracle._transportation_simplex(a, b, C)
         assert list(got.items()) == list(want.items())
@@ -446,6 +461,24 @@ class TestSimplexVsHighs:
         witness.validate()
         ref = highs_value(mu, nu, cost)
         assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_at_the_atom_cap(self):
+        # the benchmark's oracle-cap heavy shape: 64 + 64 atoms in R^3 with
+        # masses 1..9, thousands of Bland pivots
+        rng = random.Random(64)
+
+        def measure():
+            return DiscreteMeasureND(
+                [(tuple(rng.uniform(-3, 3) for _ in range(3)), rng.randint(1, 9))
+                 for _ in range(oracle.DEFAULT_ATOM_CAP)]
+            )
+
+        mu, nu = measure(), measure()
+        cost = power_cost(2)
+        value, witness = solve_ot(mu, nu, cost)
+        witness.validate()
+        ref = highs_value(mu, nu, cost)
+        assert abs(value - ref) <= 1e-9 * abs(ref)
 
 
 def margins(mu: DiscreteMeasureND) -> list[Empirical]:
