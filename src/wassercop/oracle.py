@@ -4,15 +4,16 @@ This is a correctness instrument, not a performance solver: masses are kept
 exact, as integer numerators over a common denominator, so couplings satisfy
 their margin constraints exactly, and the only floating-point error in a
 reported value is cost evaluation (one NormCost matrix, built a row at a
-time). The solver is a transportation simplex with Bland's rule
-(deterministic, terminates) that pivots on those integers. After a pivot it
-re-walks only the subtree of the basis tree that the leaving edge cut off,
-and re-prices a row that had no improving cell only in the columns whose
-duals moved; the pivots are Bland's all the same. There is an assignment
-fast path for equal-count uniform-mass instances and an exhaustive
-permutation oracle for tiny ones. It imports none of the formulas
-it certifies; the acceptance rules that compare the two live in
-wassercop.verify.
+time). The solver is a transportation simplex that pivots on those integers.
+It prices a row at a time and stops at the first row with an improving cell,
+whose most negative cell enters; right after a degenerate pivot Bland's
+first improving cell enters instead, so it is deterministic and terminates.
+After a pivot it re-walks only the subtree of the basis tree that the
+leaving edge cut off, and re-prices a row that had no improving cell only in
+the columns whose duals moved. There is an assignment fast path for
+equal-count uniform-mass instances and an exhaustive permutation oracle for
+tiny ones. It imports none of the formulas it certifies; the acceptance
+rules that compare the two live in wassercop.verify.
 """
 from __future__ import annotations
 
@@ -163,19 +164,30 @@ def _northwest_corner(a: Sequence[int], b: Sequence[int]) -> dict[tuple[int, int
 
 def _transportation_simplex(
     a: Sequence[int], b: Sequence[int], cost: list[list[float]]
-) -> dict[tuple[int, int], int]:
-    """Optimal basis for integer supplies a and demands b of equal sum.
+) -> tuple[dict[tuple[int, int], int], list[float], list[float]]:
+    """Optimal basis and its duals u, v for integer supplies a and demands b
+    of equal sum.
 
     The basis is a spanning tree on m row nodes 0..m-1 and n column nodes
     m..m+n-1, rooted at row 0. Each node keeps its parent, its depth and
     its dual (u[i] is pot[i], v[j] is pot[m + j]), the cost of the edge to
-    its parent minus the parent's dual. The pivots are Bland's: the first
-    improving cell in row-major order enters. A pivot cuts the subtree below
-    the leaving edge off the tree and hangs it from the entering edge, so
-    only that subtree is walked again; every other dual keeps its tree path,
-    and so its value, bitwise. A row that had no improving cell at the last
-    duals, and whose own dual did not move, is re-priced only in the
-    columns whose duals moved.
+    its parent minus the parent's dual. Pricing is block search with a block
+    of one row (Bonneel et al., SIGGRAPH Asia 2011): the scan stops at the
+    first row with an improving cell, and that row's most negative cell
+    enters, the first column on ties. Right after a degenerate pivot
+    (theta = 0) Bland's cell enters instead, the first improving cell in
+    row-major order. This terminates: a nondegenerate pivot lowers the
+    cost, so a cycle of bases would be a run of degenerate pivots, each
+    right after a degenerate pivot and so Bland's; and Bland's pivots from
+    any basis cannot cycle (Bland, Math. Oper. Res. 2, 1977).
+
+    A pivot cuts the subtree below the leaving edge off the tree and hangs
+    it from the entering edge, so only that subtree is walked again; every
+    other dual keeps its tree path, and so its value, bitwise. A row that
+    had no improving cell at the last duals, and whose own dual did not
+    move, is re-priced only in the columns whose duals moved. The duals
+    returned are those of the final basis, bitwise as a whole walk from
+    row 0 gives them.
     """
     m, n = len(a), len(b)
     basis = _northwest_corner(a, b)
@@ -204,26 +216,31 @@ def _transportation_simplex(
     walk(0)
     # clean[i]: row i was priced at the last duals and had no improving cell
     clean = [False] * m
-    moved: list[int] = []  # the columns whose duals the last pivot moved
+    moved: list[int] = []  # the columns whose duals the last pivot moved, sorted
+    bland = False  # the last pivot was degenerate
     for _ in range(_MAX_PIVOTS):
         v = pot[m:]
         # A basic cell's reduced cost is 0 to within an ulp of its duals, far
         # inside tol, so it never enters. In a clean row only a moved column
-        # can have become improving, and the first of them is Bland's.
+        # can have become improving, so the row's first improving cell and
+        # its most negative one are both among the moved columns.
         for i, row in enumerate(cost):
             ui = pot[i]
             if clean[i]:
-                j = next((j for j in moved if row[j] - ui - v[j] < -tol), None)
-                if j is not None:
-                    break
-                continue
-            reduced = [c - ui - x for c, x in zip(row, v)]
-            if min(reduced) < -tol:
-                j = next(j for j, r in enumerate(reduced) if r < -tol)
+                reduced = [row[j] - ui - v[j] for j in moved]
+            else:
+                reduced = [c - ui - x for c, x in zip(row, v)]
+            low = min(reduced) if reduced else 0.0  # empty when no column moved
+            if low < -tol:
+                if bland:  # right after a degenerate pivot: Bland's cell
+                    k = next(k for k, r in enumerate(reduced) if r < -tol)
+                else:  # the row's most negative cell, the first on ties
+                    k = reduced.index(low)
+                j = moved[k] if clean[i] else k
                 break
             clean[i] = True
         else:
-            return basis
+            return basis, pot[:m], pot[m:]
         clean[i:] = [False] * (m - i)
         # the tree path from row i up to the common ancestor and down to
         # column j; with the entering cell it closes the pivot cycle
@@ -243,6 +260,7 @@ def _transportation_simplex(
         minus = path[0::2]
         theta = min(basis[c] for c in minus)
         leave = min(c for c in minus if basis[c] == theta)
+        bland = theta == 0
         for k, c in enumerate(path):
             basis[c] += theta if k % 2 else -theta
         basis[i, j] = theta
@@ -295,7 +313,7 @@ def solve_ot(
     if _equal_uniform(mu, nu):
         basis = _assignment_basis(C)
     else:
-        basis = _transportation_simplex(
+        basis, _, _ = _transportation_simplex(
             [k * (L // mu.total) for k in mu.nums], [k * (L // nu.total) for k in nu.nums], C
         )
     entries = tuple((i, j, Fraction(k, L)) for (i, j), k in sorted(basis.items()) if k > 0)

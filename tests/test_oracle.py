@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -223,8 +224,8 @@ class TestAssignmentPath:
         # the same instance through the transportation simplex, which
         # solve_ot skips at equal uniform masses
         C = oracle._cost_matrix(mu, nu, power_cost(2))
-        basis = oracle._transportation_simplex([1] * n, [1] * n, C)
-        simplex = math.fsum(k * C[i][j] for (i, j), k in basis.items()) / n
+        basis, _, _ = oracle._transportation_simplex([1] * n, [1] * n, C)
+        simplex = basis_cost(basis, C) / n
         assert abs(fast - simplex) <= 1e-12
 
     def test_unequal_masses_rejected(self):
@@ -239,30 +240,43 @@ class TestAssignmentPath:
             brute_force_assignment(mu, mu, power_cost(1))
 
 
-def bland_cell_by_cell(a, b, cost):
-    """Reference transportation simplex whose Bland scan tests one cell at
-    a time and skips the basic cells by lookup: the row-priced simplex must
-    take the same pivots."""
-    m, n = len(a), len(b)
-    basis = oracle._northwest_corner(a, b)
+def whole_walk(basis, cost, m, n):
+    """Duals, parents and depths of the basis graph walked whole from row 0:
+    a node's dual is the cost of the edge to its parent minus the parent's
+    dual. A node the walk does not reach keeps parent None."""
     adj = [[] for _ in range(m + n)]
     for i, j in basis:
         adj[i].append(m + j)
         adj[m + j].append(i)
-    scale = max(1.0, max(abs(c) for row in cost for c in row))
-    tol = 1e-12 * scale
+    pot = [0.0] * (m + n)
+    parent = [None] * (m + n)
+    depth = [0] * (m + n)
+    parent[0] = 0
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for nb in adj[k]:
+            if parent[nb] is None:
+                parent[nb], depth[nb] = k, depth[k] + 1
+                pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
+                stack.append(nb)
+    return pot, parent, depth
+
+
+def tolerance(cost):
+    """The simplex's threshold on reduced costs: 1e-12 of the largest cost."""
+    return 1e-12 * max(1.0, max(abs(c) for row in cost for c in row))
+
+
+def bland_cell_by_cell(a, b, cost):
+    """Reference transportation simplex with Bland's rule, whose scan tests
+    one cell at a time and skips the basic cells by lookup, and whose duals
+    come from a whole walk of the tree after every pivot."""
+    m, n = len(a), len(b)
+    basis = oracle._northwest_corner(a, b)
+    tol = tolerance(cost)
     for _ in range(oracle._MAX_PIVOTS):
-        pot = [0.0] * (m + n)
-        parent = [0] * (m + n)
-        depth = [0] * (m + n)
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            for nb in adj[k]:
-                if nb != parent[k]:
-                    parent[nb], depth[nb] = k, depth[k] + 1
-                    pot[nb] = cost[k][nb - m] - pot[k] if k < m else cost[nb][k - m] - pot[k]
-                    stack.append(nb)
+        pot, parent, depth = whole_walk(basis, cost, m, n)
         u, v = pot[:m], pot[m:]
         enter = None
         for i in range(m):
@@ -292,11 +306,34 @@ def bland_cell_by_cell(a, b, cost):
             basis[c] += theta if k % 2 else -theta
         basis[enter] = theta
         del basis[leave]
-        adj[enter[0]].append(m + enter[1])
-        adj[m + enter[1]].append(enter[0])
-        adj[leave[0]].remove(m + leave[1])
-        adj[m + leave[1]].remove(leave[0])
     raise RuntimeError("transportation simplex failed to terminate")
+
+
+def basis_cost(basis, cost):
+    return math.fsum(k * cost[i][j] for (i, j), k in basis.items())
+
+
+def assert_tree_with_exact_margins(a, b, cost, basis):
+    """m + n - 1 cells that connect every row and column, so a spanning
+    tree, with nonnegative integer masses that sum to a and b exactly."""
+    m, n = len(a), len(b)
+    assert len(basis) == m + n - 1
+    assert None not in whole_walk(basis, cost, m, n)[1]
+    rows, cols = [0] * m, [0] * n
+    for (i, j), k in basis.items():
+        assert isinstance(k, int) and k >= 0
+        rows[i] += k
+        cols[j] += k
+    assert rows == list(a) and cols == list(b)
+
+
+def assert_duals_are_a_whole_walk_at_optimum(cost, basis, u, v):
+    """The duals are bitwise those a whole walk of the basis from row 0
+    gives, and no cell's reduced cost at them is below the tolerance."""
+    pot = whole_walk(basis, cost, len(u), len(v))[0]
+    assert list(map(float.hex, u + v)) == list(map(float.hex, pot))
+    lowest = min(c - ui - vj for ui, row in zip(u, cost) for c, vj in zip(row, v))
+    assert lowest >= -tolerance(cost)
 
 
 def bland_instance(rng, d, m, n, lattice, equal_masses):
@@ -317,12 +354,14 @@ def bland_instance(rng, d, m, n, lattice, equal_masses):
     return a, b, oracle._cost_matrix(mu, nu, power_cost(rng.choice((1, 2, 3))))
 
 
-def test_row_pricing_takes_the_same_pivots():
-    # 40 seeded instances, every fourth of equal masses and equal counts
-    # (which solve_ot would send to its assignment path); half of them on a
-    # lattice, so cost ties and degenerate pivots occur. Six more at 32-48
-    # atoms in R^3 with masses 1..9 take thousands of pivots between them,
-    # so rows stay clean over many pivots and deep subtrees are re-hung.
+@pytest.fixture(scope="module")
+def pivoted():
+    """46 seeded instances, each with the simplex's basis and duals. Every
+    fourth of the first 40 has equal masses and equal counts (which solve_ot
+    would send to its assignment path); half of them lie on a lattice, so
+    cost ties and degenerate pivots occur. Six more at 32-48 atoms in R^3
+    with masses 1..9 take thousands of pivots between them, so rows stay
+    clean over many pivots and deep subtrees are re-hung."""
     rng = random.Random(61)
     instances = []
     for k in range(40):
@@ -334,10 +373,38 @@ def test_row_pricing_takes_the_same_pivots():
     for k in range(6):
         m, n = rng.randint(32, 48), rng.randint(32, 48)
         instances.append(bland_instance(rng, 3, m, n, k % 2, False))
-    for a, b, C in instances:
-        want = bland_cell_by_cell(a, b, C)
-        got = oracle._transportation_simplex(a, b, C)
-        assert list(got.items()) == list(want.items())
+    return [(a, b, C, *oracle._transportation_simplex(a, b, C)) for a, b, C in instances]
+
+
+def test_block_pricing_reaches_blands_optimum(pivoted):
+    # the pivots differ from Bland's; the optimal value does not
+    for a, b, C, basis, _, _ in pivoted:
+        assert_tree_with_exact_margins(a, b, C, basis)
+        want = basis_cost(bland_cell_by_cell(a, b, C), C)
+        assert basis_cost(basis, C) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_returned_duals_are_a_whole_walk_at_optimum(pivoted):
+    for _, _, C, basis, u, v in pivoted:
+        assert_duals_are_a_whole_walk_at_optimum(C, basis, u, v)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_equal_mass_lattice_instances(d):
+    # solve_ot sends equal counts of equal masses to the assignment solver,
+    # so only a direct call reaches them. Only n of the 2n - 1 basic cells
+    # hold mass, so many pivots are degenerate and the next one is Bland's.
+    rng = random.Random(71 + d)
+    side = {1: 128, 2: 12, 3: 5}[d]  # at least 64 lattice points, so atoms stay distinct
+    grid = [tuple(k / 2 for k in t) for t in itertools.product(range(side), repeat=d)]
+    for n, p in ((16, 3), (32, 2), (64, 1)):
+        xs, ys = rng.sample(grid, n), rng.sample(grid, n)
+        C = power_cost(p).matrix(xs, ys)
+        basis, u, v = oracle._transportation_simplex([1] * n, [1] * n, C)
+        assert_tree_with_exact_margins([1] * n, [1] * n, C, basis)
+        assert_duals_are_a_whole_walk_at_optimum(C, basis, u, v)
+        want = basis_cost(oracle._assignment_basis(C), C)
+        assert basis_cost(basis, C) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestNormCost:
@@ -464,7 +531,7 @@ class TestSimplexVsHighs:
 
     def test_at_the_atom_cap(self):
         # the benchmark's oracle-cap heavy shape: 64 + 64 atoms in R^3 with
-        # masses 1..9, thousands of Bland pivots
+        # masses 1..9, about 2,300 pivots priced a row at a time
         rng = random.Random(64)
 
         def measure():
