@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
@@ -125,8 +126,9 @@ class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
 
     atoms hold (x, y, mass) triples with float masses, one per cell of
-    comonotone_cells for two atomic laws, else one per equal cell at its
-    midpoint. Both coordinates are nondecreasing.
+    comonotone_cells for two atomic laws (its exact mass, rounded once),
+    else one per equal cell at its midpoint. Both coordinates are
+    nondecreasing.
     """
 
     atoms: tuple[tuple[float, float, float], ...]
@@ -140,15 +142,26 @@ def comonotone_coupling(
     For two atomic laws the cells are those of comonotone_cells, one pass
     over both staircases (the north-west corner rule on sorted atoms),
     which realizes the coupling exactly with at most n_F + n_G - 1 atoms.
-    Any other pair is discretized on n >= 2 equal cells at their midpoints.
+    The cell of atoms i and j has the exact mass min(A_i, B_j) -
+    max(A_{i-1}, B_{j-1}) over L, with A and B the laws' integer cumulative
+    weights scaled to the common denominator L = lcm(F.total, G.total), so
+    each mass is rounded once (the float levels' difference c - prev is
+    not: 0.04999999999999999 for 1/20). Any other pair is discretized on
+    n >= 2 equal cells at their midpoints.
     """
     if n < 2:
         raise InputError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
-        return ComonotonePair(
-            tuple((xf[i], xg[j], m) for i, j, _, m in comonotone_cells(F, G))
-        )
+        L = math.lcm(F.total, G.total)
+        # A[i + 1] and B[j + 1] end the level intervals of atoms i and j
+        sf, sg = L // F.total, L // G.total
+        A = [0, *accumulate(m * sf for m in F.nums)]
+        B = [0, *accumulate(m * sg for m in G.nums)]
+        return ComonotonePair(tuple(
+            (xf[i], xg[j], (min(A[i + 1], B[j + 1]) - max(A[i], B[j])) / L)
+            for i, j, _, _ in comonotone_cells(F, G)
+        ))
     us = ((k + 0.5) / n for k in range(n))
     return ComonotonePair(tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us))
 

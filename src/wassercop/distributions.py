@@ -7,6 +7,15 @@ forms, with the normal inverse CDF accurate to well below 1e-9. Each
 parametric family also integrates |F^{-1}(u) - y|^p over a cell of levels
 (quantile_cell) in closed form, by truncated moments: the 1-D closed forms
 of Peyre & Cuturi, Computational Optimal Transport (2019), section 2.6.
+
+quantile and cdf check their argument, and the parametric quantiles clamp
+the level to [U_CLAMP, 1 - U_CLAMP]. The quadrature integrands call them at
+every node, but only ever at a float level inside that range or at a finite
+float x, where the checks and the clamp change nothing. For them each law
+hands out quantile_function() and cdf_function(): callables for exactly
+those arguments, which skip the checks and the clamp but share the
+methods' formula, so they give bitwise the methods' values. Elsewhere they
+may return anything or raise.
 """
 from __future__ import annotations
 
@@ -15,10 +24,10 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .grids import U_CLAMP, InputError
 
@@ -57,6 +66,15 @@ class Distribution1D:
 
     def quantile(self, u: float) -> float:
         raise NotImplementedError
+
+    def cdf_function(self) -> Callable[[float], float]:
+        """x -> cdf(x) for finite float x, possibly without cdf's checks."""
+        return self.cdf
+
+    def quantile_function(self) -> Callable[[float], float]:
+        """u -> quantile(u) for float u in [U_CLAMP, 1 - U_CLAMP], possibly
+        without quantile's checks and clamp."""
+        return self.quantile
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         """int_{u0}^{u1} |F^{-1}(u) - y|^p du for 0 <= u0 <= u1 <= 1, or
@@ -179,16 +197,16 @@ class Uniform(Distribution1D):
             raise ValueError(f"uniform width b - a overflows a float for [{self.a!r}, {self.b!r}]")
 
     def cdf(self, x: float) -> float:
-        x = _require_finite(x, "cdf argument")
-        if x <= self.a:
-            return 0.0
-        if x >= self.b:
-            return 1.0
-        return (x - self.a) / (self.b - self.a)
+        return _uniform_cdf(self.a, self.b, _require_finite(x, "cdf argument"))
 
     def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        return self.a + u * (self.b - self.a)
+        return _uniform_quantile(self.a, self.b, _check_u(u))
+
+    def cdf_function(self) -> Callable[[float], float]:
+        return partial(_uniform_cdf, self.a, self.b)
+
+    def quantile_function(self) -> Callable[[float], float]:
+        return partial(_uniform_quantile, self.a, self.b)
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
         # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
@@ -219,9 +237,7 @@ class Normal(Distribution1D):
             raise ValueError("normal law needs stddev > 0")
 
     def cdf(self, x: float) -> float:
-        x = _require_finite(x, "cdf argument")
-        z = (x - self.mean) / (self.stddev * math.sqrt(2.0))
-        return 0.5 * (1.0 + math.erf(z))
+        return _normal_cdf(self.mean, self.stddev, _require_finite(x, "cdf argument"))
 
     @cached_property
     def _dist(self) -> NormalDist:
@@ -234,6 +250,12 @@ class Normal(Distribution1D):
         elif u > _U_TOP:
             u = _U_TOP
         return self._dist.inv_cdf(u)
+
+    def cdf_function(self) -> Callable[[float], float]:
+        return partial(_normal_cdf, self.mean, self.stddev)
+
+    def quantile_function(self) -> Callable[[float], float]:
+        return self._dist.inv_cdf
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:
@@ -260,10 +282,7 @@ class Exponential(Distribution1D):
             raise ValueError(f"exponential mean 1/rate overflows a float for rate {self.rate!r}")
 
     def cdf(self, x: float) -> float:
-        x = _require_finite(x, "cdf argument")
-        if x < 0:
-            return 0.0
-        return -math.expm1(-self.rate * x)
+        return _exponential_cdf(self.rate, _require_finite(x, "cdf argument"))
 
     def quantile(self, u: float) -> float:
         u = _check_u(u)
@@ -271,7 +290,13 @@ class Exponential(Distribution1D):
             u = U_CLAMP
         elif u > _U_TOP:
             u = _U_TOP
-        return -math.log1p(-u) / self.rate
+        return _exponential_quantile(self.rate, u)
+
+    def cdf_function(self) -> Callable[[float], float]:
+        return partial(_exponential_cdf, self.rate)
+
+    def quantile_function(self) -> Callable[[float], float]:
+        return partial(_exponential_quantile, self.rate)
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:
@@ -290,6 +315,34 @@ class Exponential(Distribution1D):
         for _ in range(k):
             value /= self.rate
         return value
+
+
+# The parametric formulas, each shared by a law's checked method and its
+# unchecked callable (partial over the law's parameters)
+
+
+def _uniform_cdf(a: float, b: float, x: float) -> float:
+    if x <= a:
+        return 0.0
+    if x >= b:
+        return 1.0
+    return (x - a) / (b - a)
+
+
+def _uniform_quantile(a: float, b: float, u: float) -> float:
+    return a + u * (b - a)
+
+
+def _normal_cdf(mean: float, stddev: float, x: float) -> float:
+    return 0.5 * (1.0 + math.erf((x - mean) / (stddev * math.sqrt(2.0))))
+
+
+def _exponential_cdf(rate: float, x: float) -> float:
+    return 0.0 if x < 0 else -math.expm1(-rate * x)
+
+
+def _exponential_quantile(rate: float, u: float) -> float:
+    return -math.log1p(-u) / rate
 
 
 def _standard_z(u: float) -> float:

@@ -1,4 +1,10 @@
-"""Adaptive quadrature on the unit interval (0, 1)."""
+"""Adaptive quadrature on the unit interval (0, 1).
+
+An integrand is called only inside its own cell. integrate_unit cuts the
+cells to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
+level beyond the clamp; the quadrature routes rely on that when they
+evaluate the laws' unchecked quantile_function() (see distributions).
+"""
 from __future__ import annotations
 
 import math
@@ -40,12 +46,10 @@ class QuadratureError(ArithmeticError):
 _GRADED = tuple(10.0**-k for k in range(1, 13))
 
 
-def _quad(f, lo: float, hi: float, epsabs: float, epsrel: float, points=None):
-    """quad's (value, error, message); with full_output it returns a failure
-    message (None on success) in place of an IntegrationWarning."""
-    import scipy.integrate as integrate
-
-    value, err, _, *message = integrate.quad(
+def _quad(quad, f, lo: float, hi: float, epsabs: float, epsrel: float, points=None):
+    """scipy's quad's (value, error, message); with full_output it returns a
+    failure message (None on success) in place of an IntegrationWarning."""
+    value, err, _, *message = quad(
         f, lo, hi, epsabs=epsabs, epsrel=epsrel, points=points, full_output=1
     )
     return value, err, message[0] if message else None
@@ -65,17 +69,20 @@ def quad_cells(cells: Sequence[Cell], tol: float) -> tuple[float, float]:
     quad gives up on it again, QuadratureError is raised unless the summed
     estimate still meets tol, absolute or relative, for the whole integral.
     """
+    import scipy.integrate as integrate  # on first use: atomic routes never load scipy
+
+    quad = integrate.quad
     span = cells[-1][2] - cells[0][1]
     values, errors = [], []
     failed = None
     for f, lo, hi in cells:
         epsabs = tol * (hi - lo) / span
-        value, err, message = _quad(f, lo, hi, epsabs, tol)
+        value, err, message = _quad(quad, f, lo, hi, epsabs, tol)
         if message is not None:
             # no point so close to an end that floats cannot resolve the gap
             w, floor = hi - lo, U_CLAMP * max(1.0, abs(lo), abs(hi))
             pts = sorted({x for g in _GRADED if w * g > floor for x in (lo + w * g, hi - w * g)})
-            value, err, message = _quad(f, lo, hi, epsabs, tol, pts or None)
+            value, err, message = _quad(quad, f, lo, hi, epsabs, tol, pts or None)
         if message is not None and failed is None:
             failed = f"[{lo!r}, {hi!r}]: " + " ".join(message.split(".")[0].split())
         values.append(value)

@@ -5,6 +5,13 @@ integral (p = 1), the quantile integral, or the double integral against the
 joint CDF min(F(x), G(y)). In d dimensions, laws sharing a copula decompose
 into the sum of their coordinate distances, and for the q-norm variant the
 norm-equivalence constants give a two-sided sandwich.
+
+The quadrature integrands read each law through quantile_function() and
+cdf_function() (distributions), which skip the checks and the clamp of
+quantile and cdf. That is safe because quad only ever passes them levels
+inside [U_CLAMP, 1 - U_CLAMP] (integrate_unit cuts every cell there) and x
+inside w1_cdf's finite range [lo, hi], where both give bitwise the values
+of the checked methods.
 """
 from __future__ import annotations
 
@@ -99,7 +106,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
             f"the cdf route cannot resolve the range [{lo!r}, {hi!r}] of these laws in floats"
         )
     edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]
-    fc, gc = F.cdf, G.cdf
+    fc, gc = F.cdf_function(), G.cdf_function()  # quad keeps x in [lo, hi]
     f = lambda x: abs(fc(x) - gc(x))
     value, err = quad_cells([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
@@ -264,13 +271,14 @@ def _comonotone_power(
     if isinstance(F, Empirical):
         F, G = G, F
     if not isinstance(G, Empirical):
-        fq, gq = F.quantile, G.quantile
+        fq, gq = F.quantile_function(), G.quantile_function()
         f = lambda u: abs(fq(u) - gq(u)) ** p
         edges = [0.0, *_kinks(F, G, p), 1.0]
         return integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
     pieces = []
+    fq = F.quantile_function()
     for y, prev, c in _atom_cells(G):
-        f = _quantile_gap(F.quantile, y, p)
+        f = _quantile_gap(fq, y, p)
         u = F.cdf(y) if p < 2.0 else prev  # u = prev splits no cell
         pieces += [(f, prev, u), (f, u, c)] if prev < u < c else [(f, prev, c)]
     return integrate_unit(pieces, tol)

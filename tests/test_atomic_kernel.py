@@ -38,6 +38,16 @@ def midpoint_cells(F, G):
         prev = c
 
 
+def exact_mass(F, G, x, y):
+    """The float nearest the exact mass that the level intervals of F's atom
+    x and G's atom y share."""
+    (a0, a1), (b0, b1) = (
+        (Fraction(sum(law.nums[:k]), law.total), Fraction(sum(law.nums[: k + 1]), law.total))
+        for law, k in ((F, F.locations.index(x)), (G, G.locations.index(y)))
+    )
+    return float(min(a1, b1) - max(a0, b0))
+
+
 def reference_power(F, G, p):
     return math.fsum(m * abs(x - y) ** p for x, y, _, m in midpoint_cells(F, G))
 
@@ -60,7 +70,7 @@ def test_walks_equal_the_bisect_references(F, G):
         assert wp_via_M(F, G, p).power_value == expected
     pair = comonotone_coupling(F, G)
     cells = list(midpoint_cells(F, G))
-    assert pair.atoms == tuple((x, y, m) for x, y, _, m in cells)
+    assert pair.atoms == tuple((x, y, exact_mass(F, G, x, y)) for x, y, _, _ in cells)
     assert [c for _, _, c, _ in comonotone_cells(F, G)] == [c for _, _, c, _ in cells]
     assert w1_cdf(F, G).power_value == reference_w1_cdf(F, G)
 
@@ -68,7 +78,9 @@ def test_walks_equal_the_bisect_references(F, G):
 def test_rationally_equal_levels_share_cells():
     assert [c for _, _, c, _ in comonotone_cells(THIRDS, SIXTHS)] == [1 / 3, 1.0]
     pair = comonotone_coupling(THIRDS, SIXTHS)
-    assert pair.atoms == ((0.0, 0.5, 1 / 3), (1.0, 2.0, 1.0 - 1 / 3))
+    # the masses are the exact 1/3 and 2/3, each rounded once (1.0 - 1 / 3
+    # would be the float above 2 / 3)
+    assert pair.atoms == ((0.0, 0.5, 1 / 3), (1.0, 2.0, 2 / 3))
 
 
 def test_atomic_routes_evaluate_no_quantile_or_cdf(monkeypatch):

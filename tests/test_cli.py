@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -371,6 +372,23 @@ class TestSample:
         r = run_cli("sample", *point_masses)
         rows = r.stdout.strip().splitlines()[1:]
         assert len(rows) == 1
+
+    def test_masses_are_the_exact_weights_rounded_once(self, tmp_path, capsys):
+        # A has weights 1, 2, 1 and B 1, 1, 3: the cells hold 4, 1, 3, 7 and
+        # 5 twentieths, which differences of the rounded cumulative levels
+        # read as 0.2, 0.04999999999999999, 0.15000000000000002, 0.35, 0.25
+        a, b = tmp_path / "A.json", tmp_path / "B.json"
+        a.write_text(json.dumps({"kind": "empirical", "atoms": [[0, "1"], [1.5, "2"], [3, "1"]]}))
+        b.write_text(json.dumps({"kind": "empirical", "atoms": [[-1, "1"], [0.7, "1"], [2.2, "3"]]}))
+        assert main(["sample", str(a), str(b)]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1:]
+        assert [m for _, _, m in rows] == ["0.2", "0.05", "0.15", "0.35", "0.25"]
+        # the oracle's optimal plan is the same coupling, with the same masses
+        assert main(["oracle", str(a), str(b), "--p", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        xs, ys = out["source_atoms"], out["target_atoms"]
+        plan = {(xs[e["i"]][0], ys[e["j"]][0]): e["mass"] for e in out["entries"]}
+        assert {(float(x), float(y)): float(m) for x, y, m in rows} == plan
 
     def test_signed_zeros_in_either_order(self, tmp_path, point_masses, capsys):
         # the atoms 0.0 and -0.0 merge into one atom at 0.0 whatever their

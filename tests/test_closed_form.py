@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wassercop import (
+    Distribution1D,
     Empirical,
     Exponential,
     Normal,
@@ -16,6 +17,7 @@ from wassercop import (
     wp_quantile,
     wp_via_M,
 )
+from wassercop.grids import U_CLAMP
 
 LAWS = [Normal(0.5, 1.5), Uniform(-1.0, 2.0), Exponential(1.3)]
 
@@ -177,3 +179,76 @@ def test_closed_form_agrees_with_quadrature(pair, p):
     cells = wp_quantile(F, G, p).power_value
     quad = wp_via_M(F, G, p).power_value
     assert abs(cells - quad) <= 1e-7 * (1.0 + abs(cells))
+
+
+# Pairs whose quadrature integrands read the laws through quantile_function()
+# and cdf_function(). The last two are known quadrature misses: a
+# Normal-Uniform crossing that no split finds, and a slow exponential tail
+# cut at U_CLAMP.
+QUADRATURE_PAIRS = [
+    (Uniform(0.0, 1.0), Uniform(0.0, 2.0), (2.0,)),
+    (Uniform(-1.0, 2.0), Uniform(0.5, 1.0), (1.0,)),
+    # p = 2.5 and 1.5 have no closed form, so wp_quantile takes quadrature too
+    (Exponential(1.0), Exponential(0.5), (1.0, 2.0, 2.5, 3.0)),
+    (Normal(0.0, 1.0), sample(Normal(0.0, 1.0), 100), (1.0, 1.5, 2.0, 3.0)),
+    (Normal(0.35365423516361116, 0.7244608023000971),
+     Uniform(-1.8773229000069938, -0.1506538607526362), (1.0,)),
+    # at p = 8 quad halves the last cell down to within 1e-12 of level 1
+    (Exponential(0.5), Empirical([(0.0, 3), (4.0, 1)]), (3.0, 8.0)),
+]
+# point masses at the ends of the parametric law's support
+END_PAIRS = [
+    (Exponential(1.0), Empirical([(0.0, 1)]), (1.0, 2.0)),
+    (Uniform(0.0, 2.0), Empirical([(0.0, 1)]), (1.0, 2.0)),
+    (Uniform(0.0, 2.0), Empirical([(2.0, 1)]), (1.0, 3.0)),
+]
+
+
+def route_outcomes(F, G, orders):
+    """Each route's (power_value, error_estimate) in hex."""
+    reports = [w1_cdf(F, G)]
+    for p in orders:
+        reports += [wp_quantile(F, G, p), wp_via_M(F, G, p)]
+    return [(r.power_value.hex(), r.error_estimate.hex()) for r in reports]
+
+
+def test_unchecked_integrands_give_the_same_bits(monkeypatch):
+    new = [route_outcomes(F, G, orders) for F, G, orders in QUADRATURE_PAIRS]
+    # the checked methods themselves as the integrands' callables
+    for cls in (Uniform, Normal, Exponential):
+        monkeypatch.setattr(cls, "quantile_function", lambda law: law.quantile)
+        monkeypatch.setattr(cls, "cdf_function", lambda law: law.cdf)
+    assert new == [route_outcomes(F, G, orders) for F, G, orders in QUADRATURE_PAIRS]
+
+
+def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
+    # the precondition that lets the integrands skip quantile's and cdf's
+    # checks: integrate_unit cuts every cell to [U_CLAMP, 1 - U_CLAMP], and
+    # w1_cdf integrates over its finite range [lo, hi]
+    seen = {"u": [], "x": []}
+
+    def recording(accessor, key):
+        def wrapped(law):
+            fn = accessor(law)
+
+            def record(v):
+                seen[key].append(v)
+                return fn(v)
+
+            return record
+
+        return wrapped
+
+    for cls in (Distribution1D, Uniform, Normal, Exponential):
+        for name, key in (("quantile_function", "u"), ("cdf_function", "x")):
+            monkeypatch.setattr(cls, name, recording(vars(cls)[name], key))
+    for F, G, orders in QUADRATURE_PAIRS + END_PAIRS:
+        seen["u"].clear()
+        seen["x"].clear()
+        route_outcomes(F, G, orders)
+        assert seen["u"] and all(type(u) is float for u in seen["u"])
+        assert U_CLAMP <= min(seen["u"]) and max(seen["u"]) <= 1.0 - U_CLAMP
+        lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
+        hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
+        assert seen["x"] and all(type(x) is float for x in seen["x"])
+        assert lo <= min(seen["x"]) and max(seen["x"]) <= hi

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -131,7 +132,14 @@ class TestComonotoneCoupling:
             ends = tuple(c for _, _, c, _ in comonotone_cells(F, G))
             assert ends == tuple(sorted(set(F.cumulative()) | set(G.cumulative())))
             cells = list(zip((0.0,) + ends[:-1], ends, pair.atoms))
-            assert all(m == hi - lo for lo, hi, (_, _, m) in cells)
+            # each mass is the exact overlap of its two atoms' level
+            # intervals, rounded once
+            a, b = (
+                [Fraction(c, law.total) for c in accumulate(law.nums, initial=0)] for law in (F, G)
+            )
+            for _, _, (x, y, m) in cells:
+                i, j = F.locations.index(x), G.locations.index(y)
+                assert m == float(min(a[i + 1], b[j + 1]) - max(a[i], b[j]))
             for k, law in enumerate((F, G)):
                 covered: dict[float, list[float]] = {}
                 for lo, hi, atom in cells:

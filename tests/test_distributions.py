@@ -103,6 +103,34 @@ class TestQuantile:
         assert law.quantile(0.0) == law.quantile(U_CLAMP)
         assert law.quantile(1.0) == law.quantile(1.0 - U_CLAMP)
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Uniform(-1.0, 2.0),
+            Uniform(0, 2),  # integer ends
+            Normal(0.3, 1.2),
+            Normal(-1e3, 7),
+            Exponential(0.8),
+            Exponential(2),
+            TWO_POINT,
+            Empirical([(-7.5, 1), (-0.2, 3), (0.4, 2), (9.0, 1)]),
+        ],
+        ids=repr,
+    )
+    def test_unchecked_functions_read_the_same_bits(self, law):
+        # quantile_function() and cdf_function() skip the checks and the
+        # clamp, which change nothing on levels in [U_CLAMP, 1 - U_CLAMP]
+        # and on finite x: there they give the methods' values bit for bit
+        rng = random.Random(11)
+        us = [U_CLAMP, 1e-9, 0.25, 0.5, 0.75, 1.0 - 1e-9, 1.0 - U_CLAMP]
+        us += [rng.uniform(U_CLAMP, 1.0 - U_CLAMP) for _ in range(200)]
+        q = law.quantile_function()
+        assert [float.hex(q(u)) for u in us] == [float.hex(law.quantile(u)) for u in us]
+        xs = [law.quantile(u) for u in us] + [-1e300, -3.0, -0.0, 0.0, 0.5, 2.0, 1e300]
+        xs += [rng.uniform(-10.0, 10.0) for _ in range(200)]
+        c = law.cdf_function()
+        assert [float.hex(c(x)) for x in xs] == [float.hex(law.cdf(x)) for x in xs]
+
     def test_out_of_range_rejected(self):
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
