@@ -15,7 +15,10 @@ float x, where the checks and the clamp change nothing. For them each law
 hands out quantile_function() and cdf_function(): callables for exactly
 those arguments, which skip the checks and the clamp but share the
 methods' formula, so they give bitwise the methods' values. Elsewhere they
-may return anything or raise.
+may return anything or raise. quantile_array(u) is the unchecked quantile
+at every level of a numpy array (numpy and scipy.special load on its
+first call): Uniform's own formula, numpy's log1p and scipy's ndtri,
+which agree with quantile to rounding, not bitwise.
 """
 from __future__ import annotations
 
@@ -75,6 +78,11 @@ class Distribution1D:
         """u -> quantile(u) for float u in [U_CLAMP, 1 - U_CLAMP], possibly
         without quantile's checks and clamp."""
         return self.quantile
+
+    def quantile_array(self, u):
+        """quantile at each level of the float ndarray u, every level in
+        [U_CLAMP, 1 - U_CLAMP], without quantile's checks and clamp."""
+        raise NotImplementedError
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         """int_{u0}^{u1} |F^{-1}(u) - y|^p du for 0 <= u0 <= u1 <= 1, or
@@ -208,6 +216,9 @@ class Uniform(Distribution1D):
     def quantile_function(self) -> Callable[[float], float]:
         return partial(_uniform_quantile, self.a, self.b)
 
+    def quantile_array(self, u):
+        return _uniform_quantile(self.a, self.b, u)
+
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
         # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
         # t^(p+1) / w as t^p (t / w): t^(p+1) alone overflows before the cell
@@ -257,6 +268,11 @@ class Normal(Distribution1D):
     def quantile_function(self) -> Callable[[float], float]:
         return self._dist.inv_cdf
 
+    def quantile_array(self, u):
+        from scipy.special import ndtri  # on first use, as for quad
+
+        return self.mean + self.stddev * ndtri(u)
+
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:
             return None
@@ -297,6 +313,11 @@ class Exponential(Distribution1D):
 
     def quantile_function(self) -> Callable[[float], float]:
         return partial(_exponential_quantile, self.rate)
+
+    def quantile_array(self, u):
+        import numpy as np  # on first use, as for quad
+
+        return -np.log1p(-u) / self.rate
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:

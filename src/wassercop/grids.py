@@ -1,13 +1,24 @@
 """Adaptive quadrature on the unit interval (0, 1).
 
+A piecewise integrand is integrated cell by cell with scipy's quad
+(QUADPACK's dqagse: Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+1983). A cell list may come with the same integrand for arrays; then the
+first step quad would take on each cell, one 21-point Gauss-Kronrod sum
+and QUADPACK's test whether to stop there, runs for every cell in one
+numpy pass, and quad takes only the cells that test does not accept.
+
 An integrand is called only inside its own cell. integrate_unit cuts the
 cells to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
 level beyond the clamp; the quadrature routes rely on that when they
-evaluate the laws' unchecked quantile_function() (see distributions).
+evaluate the laws' unchecked quantile_function() and quantile_array()
+(see distributions).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import sys
 from typing import Callable, Sequence
 
 # Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], so quadrature
@@ -21,6 +32,9 @@ DEFAULT_QUAD_TOL = 1e-8
 
 # a piece of a piecewise integrand: (f, lo, hi), f integrated over [lo, hi]
 Cell = tuple[Callable[[float], float], float, float]
+# the integrand of every cell for arrays: batch(u, k)[i, j] is the integrand
+# of the cell with index k[i] at the level u[i, j]
+Batch = Callable[["numpy.ndarray", "numpy.ndarray"], "numpy.ndarray"]
 
 
 class InputError(ValueError):
@@ -55,7 +69,87 @@ def _quad(quad, f, lo: float, hi: float, epsabs: float, epsrel: float, points=No
     return value, err, message[0] if message else None
 
 
-def quad_cells(cells: Sequence[Cell], tol: float) -> tuple[float, float]:
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the Kronrod abscissae on
+# [-1, 1] from the outermost in (the 2nd, 4th, ..., 10th are the 10-point
+# Gauss abscissae; the 11th is the centre), their weights, and the Gauss
+# weights of the 2nd, 4th, ..., 10th
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208745599232, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651344,
+)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+@functools.cache
+def _rule():
+    """The Kronrod abscissae, and the Kronrod and Gauss weights as the two
+    columns of one matrix, for the nodes in the order -x_1 ... -x_10, 0,
+    x_1 ... x_10."""
+    import numpy as np
+
+    weights = np.zeros((21, 2))
+    weights[:, 0] = (*_WGK, *_WGK[:10])
+    weights[1:10:2, 1] = weights[12::2, 1] = _WG
+    return np.array(_XGK), weights
+
+
+def _kronrod_step(batch: Batch, cells: Sequence[Cell], tol: float):
+    """The first step quad takes on every cell at once: dqk21's Kronrod sum
+    and error estimate from one batch call at each cell's 21 nodes, and
+    dqagse's test whether to stop there, with the tolerances quad_cells
+    gives each cell. Returns three arrays over the cells: whether the test
+    accepts the cell, the sum and the error estimate. It accepts the cells
+    on which quad stops after one subinterval with no message, to within
+    the rounding of the integrand's array form and of the sums' order."""
+    import numpy as np
+
+    xgk, weights = _rule()
+    _, lo, hi = zip(*cells)
+    lo, hi = np.array(lo), np.array(hi)
+    epsabs = tol * (hi - lo) / (cells[-1][2] - cells[0][1])
+    centr, hlgth = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)  # hlgth > 0
+    absc = hlgth[:, None] * xgk
+    nodes = np.hstack((centr - absc, centr, centr + absc))
+    # an overflow or a nan leaves a cell's test false, and quad meets it again
+    with np.errstate(all="ignore"):
+        fv = batch(nodes, np.arange(len(cells)))
+        resk, resg = (fv @ weights).T
+        wk = weights[:, 0]
+        resabs = (abs(fv) @ wk) * hlgth
+        resasc = (abs(fv - 0.5 * resk[:, None]) @ wk) * hlgth
+        result = resk * hlgth
+        abserr = abs((resk - resg) * hlgth)
+        shrink = np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+        abserr = np.where((resasc != 0.0) & (abserr != 0.0), resasc * shrink, abserr)
+        floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+        abserr = np.maximum(floor, abserr)
+        errbnd = np.maximum(epsabs, tol * abs(result))
+        accept = ((abserr <= errbnd) & (abserr != resasc)) | (abserr == 0.0)
+    # dqagse refuses a cell whose tolerances it cannot meet (ier = 6)
+    accept &= (epsabs > 0.0) | (tol >= max(50.0 * _EPMACH, 5e-29))
+    return accept, result, abserr
+
+
+def quad_cells(
+    cells: Sequence[Cell], tol: float, batch: Batch | None = None
+) -> tuple[float, float]:
     """Integrate a piecewise integrand over [cells[0][1], cells[-1][2]],
     given as (f, lo, hi) cells in order, each hi the next cell's lo, with
     one adaptive quad of that cell's f per cell. Returns (value,
@@ -63,19 +157,27 @@ def quad_cells(cells: Sequence[Cell], tol: float) -> tuple[float, float]:
 
     Each cell gets the relative tolerance tol and its share of the absolute
     tolerance tol in proportion to its width; the error estimate is the sum
-    of the cells' estimates. A cell that quad gives up on, typically one
-    whose integrand steepens towards an end (a quantile near the 1e-12
-    clamp), is integrated again graded geometrically towards both ends. If
-    quad gives up on it again, QuadratureError is raised unless the summed
-    estimate still meets tol, absolute or relative, for the whole integral.
+    of the cells' estimates. Given batch, the same integrand for arrays,
+    quad's first step runs on every cell at once (_kronrod_step): a cell
+    that step accepts keeps its value and error, and only the others go to
+    quad, so error_estimate means what it means without batch. A cell that
+    quad gives up on, typically one whose integrand steepens towards an end
+    (a quantile near the 1e-12 clamp), is integrated again graded
+    geometrically towards both ends. If quad gives up on it again,
+    QuadratureError is raised unless the summed estimate still meets tol,
+    absolute or relative, for the whole integral.
     """
     import scipy.integrate as integrate  # on first use: atomic routes never load scipy
 
     quad = integrate.quad
     span = cells[-1][2] - cells[0][1]
-    values, errors = [], []
+    values, errors, rest = [], [], cells
+    if batch is not None:
+        accept, value, err = _kronrod_step(batch, cells, tol)
+        values, errors = value[accept].tolist(), err[accept].tolist()
+        rest = list(itertools.compress(cells, (~accept).tolist()))
     failed = None
-    for f, lo, hi in cells:
+    for f, lo, hi in rest:
         epsabs = tol * (hi - lo) / span
         value, err, message = _quad(quad, f, lo, hi, epsabs, tol)
         if message is not None:
@@ -93,15 +195,25 @@ def quad_cells(cells: Sequence[Cell], tol: float) -> tuple[float, float]:
     return value, err
 
 
-def integrate_unit(cells: Sequence[Cell], tol: float | None = None) -> tuple[float, float]:
+def integrate_unit(
+    cells: Sequence[Cell], tol: float | None = None, batch: Batch | None = None
+) -> tuple[float, float]:
     """Integrate a piecewise integrand over (0, 1) to tol (None:
     DEFAULT_QUAD_TOL), returning (value, error_estimate).
 
     cells are (f, lo, hi) in order that tile [0, 1], cut where the
     integrand may jump or kink (an atom's cell of levels, a sign change of
     a difference). They are cut to [U_CLAMP, 1 - U_CLAMP], and each is
-    integrated on its own (quad_cells).
+    integrated on its own (quad_cells). batch, if given, is the integrand
+    for arrays (Batch, indexed by position in cells): quad_cells takes
+    quad's first step on every cell with it at once.
     """
     top = 1.0 - U_CLAMP
-    cut = ((f, max(lo, U_CLAMP), min(hi, top)) for f, lo, hi in cells)
-    return quad_cells([cell for cell in cut if cell[1] < cell[2]], quad_tol(tol))
+    cut = [(f, max(lo, U_CLAMP), min(hi, top)) for f, lo, hi in cells]
+    kept = [cell for cell in cut if cell[1] < cell[2]]
+    if batch is not None and len(kept) < len(cut):
+        import numpy as np
+
+        index, whole = np.array([k for k, c in enumerate(cut) if c[1] < c[2]]), batch
+        batch = lambda u, k: whole(u, index[k])
+    return quad_cells(kept, quad_tol(tol), batch)

@@ -11,7 +11,11 @@ cdf_function() (distributions), which skip the checks and the clamp of
 quantile and cdf. That is safe because quad only ever passes them levels
 inside [U_CLAMP, 1 - U_CLAMP] (integrate_unit cuts every cell there) and x
 inside w1_cdf's finite range [lo, hi], where both give bitwise the values
-of the checked methods.
+of the checked methods. Against atoms the cells also come with their
+integrand for arrays, through quantile_array(): integrate_unit takes quad's
+first Gauss-Kronrod step on every atom cell in one numpy pass, and quad
+only the cells that step does not accept. Two parametric laws (one or two
+cells) and w1_cdf take one quad per cell.
 """
 from __future__ import annotations
 
@@ -261,8 +265,10 @@ def _comonotone_power(
 
     Against an atomic G the quadrature walks G's cells (_atom_cells) and
     integrates |F^{-1}(u) - y|^p against each cell's own atom y; at p < 2
-    a cell that holds F(y) splits there, where the integrand kinks. Two
-    parametric laws split at _kinks."""
+    a cell that holds F(y) splits there, where the integrand kinks. It
+    hands integrate_unit the same integrand for arrays too, through
+    F.quantile_array, so quad's first step runs on all the cells at once.
+    Two parametric laws split at _kinks."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
@@ -275,13 +281,18 @@ def _comonotone_power(
         f = lambda u: abs(fq(u) - gq(u)) ** p
         edges = [0.0, *_kinks(F, G, p), 1.0]
         return integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
-    pieces = []
+    pieces, ys = [], []
     fq = F.quantile_function()
     for y, prev, c in _atom_cells(G):
         f = _quantile_gap(fq, y, p)
         u = F.cdf(y) if p < 2.0 else prev  # u = prev splits no cell
-        pieces += [(f, prev, u), (f, u, c)] if prev < u < c else [(f, prev, c)]
-    return integrate_unit(pieces, tol)
+        split = [(f, prev, u), (f, u, c)] if prev < u < c else [(f, prev, c)]
+        pieces += split
+        ys += [y] * len(split)
+    import numpy as np  # on first use, as for quad
+
+    ys = np.array(ys)
+    return integrate_unit(pieces, tol, lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p)
 
 
 def _quantile_gap(quantile, y: float, p: float):

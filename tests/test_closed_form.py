@@ -224,8 +224,9 @@ def test_unchecked_integrands_give_the_same_bits(monkeypatch):
 def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
     # the precondition that lets the integrands skip quantile's and cdf's
     # checks: integrate_unit cuts every cell to [U_CLAMP, 1 - U_CLAMP], and
-    # w1_cdf integrates over its finite range [lo, hi]
-    seen = {"u": [], "x": []}
+    # w1_cdf integrates over its finite range [lo, hi]; "a" holds the levels
+    # of quad's batched first step against atoms
+    seen = {"u": [], "x": [], "a": []}
 
     def recording(accessor, key):
         def wrapped(law):
@@ -239,15 +240,30 @@ def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
 
         return wrapped
 
+    def recording_array(quantile_array):
+        def record(law, u):
+            assert u.dtype == np.float64
+            seen["a"] += u.ravel().tolist()
+            return quantile_array(law, u)
+
+        return record
+
     for cls in (Distribution1D, Uniform, Normal, Exponential):
         for name, key in (("quantile_function", "u"), ("cdf_function", "x")):
             monkeypatch.setattr(cls, name, recording(vars(cls)[name], key))
+    for cls in (Uniform, Normal, Exponential):
+        monkeypatch.setattr(cls, "quantile_array", recording_array(cls.quantile_array))
     for F, G, orders in QUADRATURE_PAIRS + END_PAIRS:
-        seen["u"].clear()
-        seen["x"].clear()
+        for levels in seen.values():
+            levels.clear()
         route_outcomes(F, G, orders)
-        assert seen["u"] and all(type(u) is float for u in seen["u"])
-        assert U_CLAMP <= min(seen["u"]) and max(seen["u"]) <= 1.0 - U_CLAMP
+        assert all(type(u) is float for u in seen["u"])
+        if isinstance(F, Empirical) or isinstance(G, Empirical):
+            assert seen["a"]
+        else:
+            assert seen["u"] and not seen["a"]  # two parametric laws: quad alone
+        levels = seen["u"] + seen["a"]
+        assert U_CLAMP <= min(levels) and max(levels) <= 1.0 - U_CLAMP
         lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
         hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
         assert seen["x"] and all(type(x) is float for x in seen["x"])

@@ -4,6 +4,7 @@ or traced name resolves."""
 import ast
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -61,15 +62,19 @@ sys.exit(rc)
         (({"kind": "normal", "mean": 0, "stddev": 1}, {"kind": "normal", "mean": 1, "stddev": 2}), 2.0),
         (({"kind": "uniform", "a": 0, "b": 1}, {"kind": "uniform", "a": 0, "b": 2}), 1 / 3),
         (({"kind": "exponential", "rate": 1}, {"kind": "exponential", "rate": 0.5}), 2.0),
+        # E(Z - sign Z)^2 = 2 - 2 E|Z|, by a closed-form cell against each atom
+        (({"kind": "normal", "mean": 0, "stddev": 1}, "x\n-1\n1\n"), 2.0 - 2.0 * math.sqrt(2.0 / math.pi)),
     ],
-    ids=["normal", "uniform", "exponential"],
+    ids=["normal", "uniform", "exponential", "normal-csv-atoms"],
 )
 def test_parametric_compute_loads_no_scipy(tmp_path, laws, power):
-    # closed-form cells and closed-form moments: no quadrature anywhere
+    # closed-form cells and closed-form moments: no quadrature anywhere (a
+    # str law is a CSV sample)
     paths = []
     for name, law in zip("FG", laws):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(law))
+        csv = isinstance(law, str)
+        path = tmp_path / f"{name}.{'csv' if csv else 'json'}"
+        path.write_text(law if csv else json.dumps(law))
         paths.append(str(path))
     r = subprocess.run(
         [sys.executable, "-c", PARAMETRIC_COMPUTE, *paths], capture_output=True, text=True

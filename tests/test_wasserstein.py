@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from wassercop import (
     DiscreteMeasureND,
@@ -26,7 +27,7 @@ from wassercop import (
     wp_via_M,
     wpq_bounds,
 )
-from wassercop import wasserstein
+from wassercop import grids, wasserstein
 from wassercop.distributions import check_order
 from wassercop.grids import U_CLAMP, integrate_unit, quad_cells, quad_tol
 from wassercop.io import load_copula
@@ -371,7 +372,7 @@ def atom_breaks(F, G, p):
 class TestCellIntegrands:
     """Against atoms, each cell is integrated against its own atom: the
     same edges and integrand values as looking both laws up at every node,
-    so the same floats come out."""
+    in quad's batched first step and in quad, so the same floats come out."""
 
     ATOMS = {
         Normal(0.3, 1.2): [(-1.0, 1), (0.3, 1), (2.0, 2)],  # F(0.3) = 0.5, a level
@@ -392,7 +393,10 @@ class TestCellIntegrands:
         assert G.cumulative()[0] < U_CLAMP
         edges = [0.0, *sorted(atom_breaks(F, G, p)), 1.0]
         f = lambda u: abs(F.quantile(u) - G.quantile(u)) ** p
-        ref = integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])])
+        # G's array lookup: the first atom whose level is >= u, as G.quantile
+        locs, levels = np.array(G.locations), np.array(G.cumulative())
+        batch = lambda u, k: abs(F.quantile_array(u) - locs[np.searchsorted(levels, u)]) ** p
+        ref = integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], None, batch)
         routes = [wp_via_M]
         if p == 1.5 and not isinstance(F, Uniform):  # no closed-form cell: the fallback
             routes.append(wp_quantile)
@@ -438,6 +442,86 @@ def seeded_law(rng, family):
 def seeded_pairs(f, g, n, seed=0):
     rng = random.Random(seed)
     return [(seeded_law(rng, f), seeded_law(rng, g)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("family", [Normal, Exponential, Uniform])
+def test_batched_first_step_is_quads_first_step(family, monkeypatch):
+    # Against atoms, quad's first step runs on every cell at once. It must
+    # accept a cell exactly when quad alone stops there after one
+    # subinterval with no message, and then give quad's value. The value is
+    # compared with quad on the batch's own integrand values (g), since
+    # quantile_array agrees with quantile only to rounding; dqk21's error
+    # estimate raises the sums' last-bit differences to the power 1.5.
+    seen = []
+    spy = lambda cells, tol, batch=None: seen.append((cells, tol, batch)) or quad_cells(cells, tol, batch)
+    monkeypatch.setattr(grids, "quad_cells", spy)
+    for F, G in seeded_pairs(family, Empirical, 20):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            wp_via_M(F, G, p)
+    accepted = 0
+    for cells, tol, batch in seen:
+        # the end cells are cut at U_CLAMP
+        assert cells[0][1] == U_CLAMP and cells[-1][2] == 1.0 - U_CLAMP
+        span = cells[-1][2] - cells[0][1]
+        shares = [tol * (hi - lo) / span for _, lo, hi in cells]
+        accept, values, errors = grids._kronrod_step(batch, cells, tol)
+        for k, ((f, lo, hi), epsabs) in enumerate(zip(cells, shares)):
+            _, _, info, *message = scipy.integrate.quad(
+                f, lo, hi, epsabs=epsabs, epsrel=tol, full_output=1
+            )
+            assert accept[k] == (info["last"] == 1 and not message), (lo, hi)
+            if accept[k]:
+                g = lambda u: batch(np.array([[u]]), np.array([k]))[0, 0]
+                value, err = scipy.integrate.quad(g, lo, hi, epsabs=epsabs, epsrel=tol)
+                assert abs(values[k] - value) <= 1e-13 * value
+                assert abs(errors[k] - err) <= 1e-13 * value
+                accepted += 1
+    assert accepted > 500
+
+
+def jump(height):
+    return lambda u: height if u > 0.3 else 0.0, lambda u, k: np.where(u > 0.3, height, 0.0)
+
+
+@pytest.mark.parametrize(
+    "integrand, refined",
+    [
+        # a jump too small for the tolerance: dqk21's estimate is then the
+        # whole spread resasc, which dqagse does not accept
+        (jump(1e-20), [0, 1]),
+        (jump(1.0), [0, 1]),
+        ((lambda u: 2.0, lambda u, k: np.full_like(u, 2.0)), []),  # an estimate of 0.0
+        ((lambda u: u * u, lambda u, k: u * u), []),
+    ],
+    ids=["tiny-jump", "jump", "constant", "square"],
+)
+def test_batched_first_step_follows_dqagse(integrand, refined):
+    # the jump at 0.3 lies inside the first two cells
+    f, batch = integrand
+    cells = [(f, 0.1, 0.6), (f, 0.2, 0.9), (f, 0.6, 0.7)]
+    accept, values, errors = grids._kronrod_step(batch, cells, 1e-10)
+    assert np.flatnonzero(~accept).tolist() == refined
+    for k, (_, lo, hi) in enumerate(cells):
+        epsabs = 1e-10 * (hi - lo) / (0.7 - 0.1)
+        value, err, info, *message = scipy.integrate.quad(
+            f, lo, hi, epsabs=epsabs, epsrel=1e-10, full_output=1
+        )
+        assert accept[k] == (info["last"] == 1 and not message)
+        if accept[k]:
+            assert abs(values[k] - value) <= 1e-15 * value and abs(errors[k] - err) <= 1e-15 * value
+
+
+@pytest.mark.parametrize("law", [Normal(0.3, 1.2), Uniform(-1.0, 2.0), Exponential(0.8)], ids=repr)
+def test_quantile_array_agrees_with_quantile(law):
+    # the batched step's quantile: Uniform's own formula, numpy's log1p,
+    # scipy's ndtri, on levels inside [U_CLAMP, 1 - U_CLAMP]
+    tails = 10.0 ** -np.arange(1.0, 12.25, 0.25)
+    u = np.concatenate((tails, np.linspace(0.01, 0.99, 99), 1.0 - tails))
+    assert u.min() == U_CLAMP and u.max() == 1.0 - U_CLAMP
+    want = [law.quantile(v) for v in u.tolist()]
+    np.testing.assert_allclose(law.quantile_array(u), want, rtol=1e-14, atol=1e-14)
+    if isinstance(law, Uniform):
+        assert law.quantile_array(u).tolist() == want
 
 
 @pytest.mark.parametrize(
