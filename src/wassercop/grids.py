@@ -2,13 +2,14 @@
 
 A piecewise integrand is integrated cell by cell with scipy's quad
 (QUADPACK's dqagse: Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
-1983). A cell list may come with the same integrand for arrays; then the
-first step quad would take on each cell, one 21-point Gauss-Kronrod sum
-and QUADPACK's test whether to stop there, runs for every cell in one
-numpy pass, and quad takes only the cells that test does not accept.
+1983), given by its sorted cell edges and integrand(k), the integrand of
+cell k. It may come with the same integrand for arrays; then the first step
+quad would take on each cell, one 21-point Gauss-Kronrod sum and
+QUADPACK's test whether to stop there, runs for every cell in one numpy
+pass, and quad takes only the cells that test does not accept.
 
-An integrand is called only inside its own cell. integrate_unit cuts the
-cells to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
+An integrand is called only inside its own cell. integrate_unit clamps the
+edges to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
 level beyond the clamp; the quadrature routes rely on that when they
 evaluate the laws' unchecked quantile_function() and quantile_array()
 (see distributions).
@@ -16,7 +17,6 @@ evaluate the laws' unchecked quantile_function() and quantile_array()
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import sys
 from typing import Callable, Sequence
@@ -30,8 +30,8 @@ U_CLAMP = 1e-12
 
 DEFAULT_QUAD_TOL = 1e-8
 
-# a piece of a piecewise integrand: (f, lo, hi), f integrated over [lo, hi]
-Cell = tuple[Callable[[float], float], float, float]
+# the integrand of cell k, integrated over [edges[k], edges[k + 1]]
+Integrand = Callable[[int], Callable[[float], float]]
 # the integrand of every cell for arrays: batch(u, k)[i, j] is the integrand
 # of the cell with index k[i] at the level u[i, j]
 Batch = Callable[["numpy.ndarray", "numpy.ndarray"], "numpy.ndarray"]
@@ -110,26 +110,27 @@ def _rule():
     return np.array(_XGK), weights
 
 
-def _kronrod_step(batch: Batch, cells: Sequence[Cell], tol: float):
+def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
     """The first step quad takes on every cell at once: dqk21's Kronrod sum
     and error estimate from one batch call at each cell's 21 nodes, and
     dqagse's test whether to stop there, with the tolerances quad_cells
     gives each cell. Returns three arrays over the cells: whether the test
     accepts the cell, the sum and the error estimate. It accepts the cells
     on which quad stops after one subinterval with no message, to within
-    the rounding of the integrand's array form and of the sums' order."""
+    the rounding of the integrand's array form and of the sums' order, and
+    a cell of width 0 with 0.0, as quad gives it."""
     import numpy as np
 
     xgk, weights = _rule()
-    _, lo, hi = zip(*cells)
-    lo, hi = np.array(lo), np.array(hi)
-    epsabs = tol * (hi - lo) / (cells[-1][2] - cells[0][1])
-    centr, hlgth = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)  # hlgth > 0
+    edges = np.array(edges)
+    lo, hi = edges[:-1], edges[1:]
+    epsabs = tol * (hi - lo) / (edges[-1] - edges[0])
+    centr, hlgth = 0.5 * (lo + hi)[:, None], 0.5 * (hi - lo)
     absc = hlgth[:, None] * xgk
     nodes = np.hstack((centr - absc, centr, centr + absc))
     # an overflow or a nan leaves a cell's test false, and quad meets it again
     with np.errstate(all="ignore"):
-        fv = batch(nodes, np.arange(len(cells)))
+        fv = batch(nodes, np.arange(len(lo)))
         resk, resg = (fv @ weights).T
         wk = weights[:, 0]
         resabs = (abs(fv) @ wk) * hlgth
@@ -148,19 +149,20 @@ def _kronrod_step(batch: Batch, cells: Sequence[Cell], tol: float):
 
 
 def quad_cells(
-    cells: Sequence[Cell], tol: float, batch: Batch | None = None
+    edges: Sequence[float], integrand: Integrand, tol: float, batch: Batch | None = None
 ) -> tuple[float, float]:
-    """Integrate a piecewise integrand over [cells[0][1], cells[-1][2]],
-    given as (f, lo, hi) cells in order, each hi the next cell's lo, with
-    one adaptive quad of that cell's f per cell. Returns (value,
-    error_estimate).
+    """Integrate a piecewise integrand over [edges[0], edges[-1]], given by
+    its sorted cell edges and integrand(k), the integrand of the cell
+    between edges[k] and edges[k + 1], with one adaptive quad of that
+    integrand per cell. Returns (value, error_estimate).
 
     Each cell gets the relative tolerance tol and its share of the absolute
     tolerance tol in proportion to its width; the error estimate is the sum
     of the cells' estimates. Given batch, the same integrand for arrays,
     quad's first step runs on every cell at once (_kronrod_step): a cell
     that step accepts keeps its value and error, and only the others go to
-    quad, so error_estimate means what it means without batch. A cell that
+    quad, so error_estimate means what it means without batch, and
+    integrand(k) is called only for a cell that quad takes. A cell that
     quad gives up on, typically one whose integrand steepens towards an end
     (a quantile near the 1e-12 clamp), is integrated again graded
     geometrically towards both ends. If quad gives up on it again,
@@ -170,14 +172,15 @@ def quad_cells(
     import scipy.integrate as integrate  # on first use: atomic routes never load scipy
 
     quad = integrate.quad
-    span = cells[-1][2] - cells[0][1]
-    values, errors, rest = [], [], cells
+    span = edges[-1] - edges[0]
+    values, errors, rest = [], [], range(len(edges) - 1)
     if batch is not None:
-        accept, value, err = _kronrod_step(batch, cells, tol)
+        accept, value, err = _kronrod_step(batch, edges, tol)
         values, errors = value[accept].tolist(), err[accept].tolist()
-        rest = list(itertools.compress(cells, (~accept).tolist()))
+        rest = (~accept).nonzero()[0].tolist()
     failed = None
-    for f, lo, hi in rest:
+    for k in rest:
+        f, lo, hi = integrand(k), edges[k], edges[k + 1]
         epsabs = tol * (hi - lo) / span
         value, err, message = _quad(quad, f, lo, hi, epsabs, tol)
         if message is not None:
@@ -196,24 +199,19 @@ def quad_cells(
 
 
 def integrate_unit(
-    cells: Sequence[Cell], tol: float | None = None, batch: Batch | None = None
+    edges: Sequence[float], integrand: Integrand, tol: float, batch: Batch | None = None
 ) -> tuple[float, float]:
-    """Integrate a piecewise integrand over (0, 1) to tol (None:
-    DEFAULT_QUAD_TOL), returning (value, error_estimate).
+    """Integrate a piecewise integrand over (0, 1) to tol, returning (value,
+    error_estimate).
 
-    cells are (f, lo, hi) in order that tile [0, 1], cut where the
-    integrand may jump or kink (an atom's cell of levels, a sign change of
-    a difference). They are cut to [U_CLAMP, 1 - U_CLAMP], and each is
-    integrated on its own (quad_cells). batch, if given, is the integrand
-    for arrays (Batch, indexed by position in cells): quad_cells takes
-    quad's first step on every cell with it at once.
+    edges are the sorted cell edges from 0 to 1, cut where the integrand
+    may jump or kink (an atom's cell of levels, a sign change of a
+    difference), and integrand(k) the integrand of the cell between
+    edges[k] and edges[k + 1]. The edges are clamped to [U_CLAMP,
+    1 - U_CLAMP], so a cell beyond the clamp keeps its index with width 0,
+    and each cell is integrated on its own (quad_cells). batch, if given,
+    is the integrand for arrays (Batch, by the same index): quad_cells
+    takes quad's first step on every cell with it at once.
     """
     top = 1.0 - U_CLAMP
-    cut = [(f, max(lo, U_CLAMP), min(hi, top)) for f, lo, hi in cells]
-    kept = [cell for cell in cut if cell[1] < cell[2]]
-    if batch is not None and len(kept) < len(cut):
-        import numpy as np
-
-        index, whole = np.array([k for k, c in enumerate(cut) if c[1] < c[2]]), batch
-        batch = lambda u, k: whole(u, index[k])
-    return quad_cells(kept, quad_tol(tol), batch)
+    return quad_cells([min(max(x, U_CLAMP), top) for x in edges], integrand, tol, batch)

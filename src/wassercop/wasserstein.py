@@ -9,7 +9,7 @@ norm-equivalence constants give a two-sided sandwich.
 The quadrature integrands read each law through quantile_function() and
 cdf_function() (distributions), which skip the checks and the clamp of
 quantile and cdf. That is safe because quad only ever passes them levels
-inside [U_CLAMP, 1 - U_CLAMP] (integrate_unit cuts every cell there) and x
+inside [U_CLAMP, 1 - U_CLAMP] (integrate_unit clamps the edges there) and x
 inside w1_cdf's finite range [lo, hi], where both give bitwise the values
 of the checked methods. Against atoms the cells also come with their
 integrand for arrays, through quantile_array(): integrate_unit takes quad's
@@ -112,7 +112,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
     edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]
     fc, gc = F.cdf_function(), G.cdf_function()  # quad keeps x in [lo, hi]
     f = lambda x: abs(fc(x) - gc(x))
-    value, err = quad_cells([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
+    value, err = quad_cells(edges, lambda k: f, tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
 
 
@@ -264,11 +264,12 @@ def _comonotone_power(
     DEFAULT_QUAD_TOL).
 
     Against an atomic G the quadrature walks G's cells (_atom_cells) and
-    integrates |F^{-1}(u) - y|^p against each cell's own atom y; at p < 2
-    a cell that holds F(y) splits there, where the integrand kinks. It
-    hands integrate_unit the same integrand for arrays too, through
-    F.quantile_array, so quad's first step runs on all the cells at once.
-    Two parametric laws split at _kinks."""
+    integrates |F^{-1}(u) - y|^p against each cell's own atom y, split
+    where F(y) falls inside the cell: there the integrand kinks (p < 2) or
+    falls to 0 and can steepen again towards the clamp. integrate_unit
+    also gets the integrand for arrays, through F.quantile_array, so quad's
+    first step runs on all the cells at once. Two parametric laws split at
+    _kinks."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
@@ -279,20 +280,19 @@ def _comonotone_power(
     if not isinstance(G, Empirical):
         fq, gq = F.quantile_function(), G.quantile_function()
         f = lambda u: abs(fq(u) - gq(u)) ** p
-        edges = [0.0, *_kinks(F, G, p), 1.0]
-        return integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], tol)
-    pieces, ys = [], []
-    fq = F.quantile_function()
+        return integrate_unit([0.0, *_kinks(F, G, p), 1.0], lambda k: f, tol)
+    edges, ys = [0.0], []  # cell k runs from edges[k] to edges[k + 1] against ys[k]
+    fq, fc = F.quantile_function(), F.cdf_function()  # the atoms are finite
     for y, prev, c in _atom_cells(G):
-        f = _quantile_gap(fq, y, p)
-        u = F.cdf(y) if p < 2.0 else prev  # u = prev splits no cell
-        split = [(f, prev, u), (f, u, c)] if prev < u < c else [(f, prev, c)]
-        pieces += split
-        ys += [y] * len(split)
+        u = fc(y)
+        for edge in (u, c) if prev < u < c else (c,):
+            edges.append(edge)
+            ys.append(y)
     import numpy as np  # on first use, as for quad
 
     ys = np.array(ys)
-    return integrate_unit(pieces, tol, lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p)
+    batch = lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p
+    return integrate_unit(edges, lambda k: _quantile_gap(fq, float(ys[k]), p), tol, batch)
 
 
 def _quantile_gap(quantile, y: float, p: float):

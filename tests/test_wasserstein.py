@@ -29,7 +29,7 @@ from wassercop import (
 )
 from wassercop import grids, wasserstein
 from wassercop.distributions import check_order
-from wassercop.grids import U_CLAMP, integrate_unit, quad_cells, quad_tol
+from wassercop.grids import DEFAULT_QUAD_TOL, U_CLAMP, integrate_unit, quad_cells, quad_tol
 from wassercop.io import load_copula
 
 HALF = Fraction(1, 2)
@@ -359,14 +359,11 @@ class TestFarLaws:
         assert wp_quantile(law, law, 2).value == 0.0
 
 
-def atom_breaks(F, G, p):
-    """G's interior levels and, at p < 2, F(y) inside each atom y's cell."""
+def atom_breaks(F, G):
+    """G's interior levels and F(y) inside each atom y's cell."""
     levels = G.cumulative()
-    breaks = list(levels[:-1])
-    if p < 2.0:
-        cells = zip(G.locations, (0.0, *levels), levels)
-        breaks += [F.cdf(y) for y, a, c in cells if a < F.cdf(y) < c]
-    return breaks
+    cells = zip(G.locations, (0.0, *levels), levels)
+    return [*levels[:-1], *(F.cdf(y) for y, a, c in cells if a < F.cdf(y) < c)]
 
 
 class TestCellIntegrands:
@@ -391,12 +388,12 @@ class TestCellIntegrands:
     def test_quantile_cells_match_per_node_lookup(self, F, p):
         G = self.with_tiny_atoms(self.ATOMS[F])
         assert G.cumulative()[0] < U_CLAMP
-        edges = [0.0, *sorted(atom_breaks(F, G, p)), 1.0]
+        edges = [0.0, *sorted(atom_breaks(F, G)), 1.0]
         f = lambda u: abs(F.quantile(u) - G.quantile(u)) ** p
         # G's array lookup: the first atom whose level is >= u, as G.quantile
         locs, levels = np.array(G.locations), np.array(G.cumulative())
         batch = lambda u, k: abs(F.quantile_array(u) - locs[np.searchsorted(levels, u)]) ** p
-        ref = integrate_unit([(f, a, b) for a, b in zip(edges, edges[1:])], None, batch)
+        ref = integrate_unit(edges, lambda k: f, DEFAULT_QUAD_TOL, batch)
         routes = [wp_via_M]
         if p == 1.5 and not isinstance(F, Uniform):  # no closed-form cell: the fallback
             routes.append(wp_quantile)
@@ -407,14 +404,14 @@ class TestCellIntegrands:
 
     @pytest.mark.parametrize("F", list(ATOMS), ids=lambda F: type(F).__name__)
     def test_w1_cdf_splits_at_atoms_and_level_crossings(self, F, monkeypatch):
-        # the cells w1_cdf hands quad: each atom inside the range is an edge,
-        # and F - G keeps one sign inside each cell
+        # the cell edges w1_cdf hands quad: each atom inside the range is an
+        # edge, and F - G keeps one sign inside each cell
         G = self.with_tiny_atoms(self.ATOMS[F])
         seen = []
-        spy = lambda cells, tol: seen.append(cells) or quad_cells(cells, tol)
+        spy = lambda edges, integrand, tol: seen.append(edges) or quad_cells(edges, integrand, tol)
         monkeypatch.setattr(wasserstein, "quad_cells", spy)
         w1_cdf(F, G)
-        edges = [seen[0][0][1], *(hi for _, _, hi in seen[0])]
+        edges = seen[0]
         assert {x for x in G.locations if edges[0] < x < edges[-1]} <= set(edges)
         for a, b in zip(edges, edges[1:]):
             gaps = [F.cdf(x) - G.cdf(x) for x in (a + (b - a) * t for t in (1e-6, 0.5, 1 - 1e-6))]
@@ -453,19 +450,26 @@ def test_batched_first_step_is_quads_first_step(family, monkeypatch):
     # quantile_array agrees with quantile only to rounding; dqk21's error
     # estimate raises the sums' last-bit differences to the power 1.5.
     seen = []
-    spy = lambda cells, tol, batch=None: seen.append((cells, tol, batch)) or quad_cells(cells, tol, batch)
+
+    def spy(edges, integrand, tol, batch=None):
+        seen.append((edges, integrand, tol, batch))
+        return quad_cells(edges, integrand, tol, batch)
+
     monkeypatch.setattr(grids, "quad_cells", spy)
     for F, G in seeded_pairs(family, Empirical, 20):
         for p in (1.0, 1.5, 2.0, 3.0):
             wp_via_M(F, G, p)
     accepted = 0
-    for cells, tol, batch in seen:
-        # the end cells are cut at U_CLAMP
-        assert cells[0][1] == U_CLAMP and cells[-1][2] == 1.0 - U_CLAMP
-        span = cells[-1][2] - cells[0][1]
-        shares = [tol * (hi - lo) / span for _, lo, hi in cells]
-        accept, values, errors = grids._kronrod_step(batch, cells, tol)
-        for k, ((f, lo, hi), epsabs) in enumerate(zip(cells, shares)):
+    for edges, integrand, tol, batch in seen:
+        # the end edges are clamped at U_CLAMP
+        assert edges[0] == U_CLAMP and edges[-1] == 1.0 - U_CLAMP
+        span = edges[-1] - edges[0]
+        accept, values, errors = grids._kronrod_step(batch, edges, tol)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if lo == hi:  # a cell beyond the clamp: 0.0, as quad gives it
+                assert accept[k] and values[k] == errors[k] == 0.0
+                continue
+            f, epsabs = integrand(k), tol * (hi - lo) / span
             _, _, info, *message = scipy.integrate.quad(
                 f, lo, hi, epsabs=epsabs, epsrel=tol, full_output=1
             )
@@ -488,21 +492,21 @@ def jump(height):
     [
         # a jump too small for the tolerance: dqk21's estimate is then the
         # whole spread resasc, which dqagse does not accept
-        (jump(1e-20), [0, 1]),
-        (jump(1.0), [0, 1]),
+        (jump(1e-20), [1]),
+        (jump(1.0), [1]),
         ((lambda u: 2.0, lambda u, k: np.full_like(u, 2.0)), []),  # an estimate of 0.0
         ((lambda u: u * u, lambda u, k: u * u), []),
     ],
     ids=["tiny-jump", "jump", "constant", "square"],
 )
 def test_batched_first_step_follows_dqagse(integrand, refined):
-    # the jump at 0.3 lies inside the first two cells
+    # the jump at 0.3 lies inside the second cell
     f, batch = integrand
-    cells = [(f, 0.1, 0.6), (f, 0.2, 0.9), (f, 0.6, 0.7)]
-    accept, values, errors = grids._kronrod_step(batch, cells, 1e-10)
+    edges = [0.1, 0.2, 0.6, 0.7, 0.9]
+    accept, values, errors = grids._kronrod_step(batch, edges, 1e-10)
     assert np.flatnonzero(~accept).tolist() == refined
-    for k, (_, lo, hi) in enumerate(cells):
-        epsabs = 1e-10 * (hi - lo) / (0.7 - 0.1)
+    for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        epsabs = 1e-10 * (hi - lo) / (0.9 - 0.1)
         value, err, info, *message = scipy.integrate.quad(
             f, lo, hi, epsabs=epsabs, epsrel=1e-10, full_output=1
         )
