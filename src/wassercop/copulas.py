@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .distributions import Distribution1D, Empirical
@@ -93,32 +92,35 @@ class EmpiricalCopula:
         return f"EmpiricalCopula(n={self.n}, dim={self.dim})"
 
 
-def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, float, float]]:
-    """One pass over the staircases of two atomic laws.
+def comonotone_cells(F: Empirical, G: Empirical) -> Iterator[tuple[int, int, float]]:
+    """The cells of the comonotone coupling of two atomic laws, in order.
 
-    The cells are the intervals (prev, c] between consecutive distinct
-    cumulative levels of either law; on each both quantile functions are
-    constant. Per cell, in increasing order, yields (i, j, c, c - prev):
-    the indices of the atoms of F and G whose level intervals contain the
-    cell, its right end and its mass.
+    The north-west corner rule on the two sorted atom lists, in integers:
+    both laws' weights scaled to the common denominator L = lcm(F.total,
+    G.total), each cell takes the weight left in the current atoms of F
+    and G, whichever is less. Yields (i, j, m) per cell: the indices of the
+    two atoms and the cell's exact mass k / L, rounded once. No mass is a
+    difference of float levels, so atoms whose levels round to one float
+    still get their own cells.
     """
-    # a sentinel above every level: both laws end at exactly 1.0
-    cf = F.cumulative() + (2.0,)
-    cg = G.cumulative() + (2.0,)
+    L = math.lcm(F.total, G.total)
+    sf, sg = L // F.total, L // G.total
+    wf, wg = [m * sf for m in F.nums], [m * sg for m in G.nums]
     i = j = 0
-    a, b = cf[0], cg[0]  # the current levels cf[i] and cg[j]
-    prev = 0.0
-    while prev < 1.0:
-        c = a if a < b else b
-        yield i, j, c, c - prev
-        prev = c
-        # step past every level <= c: distinct weights may round to one level
-        while a <= c:
-            i += 1
-            a = cf[i]
-        while b <= c:
-            j += 1
-            b = cg[j]
+    a, b = wf[0], wg[0]  # the weight left in atoms i and j
+    while True:
+        if a < b:
+            yield i, j, a / L
+            i, a, b = i + 1, wf[i + 1], b - a
+        elif b < a:
+            yield i, j, b / L
+            j, a, b = j + 1, a - b, wg[j + 1]
+        else:
+            yield i, j, a / L
+            if i + 1 == len(wf):  # both laws end here: their totals are L
+                return
+            i, j = i + 1, j + 1
+            a, b = wf[i], wg[j]
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,8 @@ class ComonotonePair:
     """Discrete or grid realization of the coupling (F^{-1}(U), G^{-1}(U)).
 
     atoms hold (x, y, mass) triples with float masses, one per cell of
-    comonotone_cells for two atomic laws (its exact mass, rounded once),
-    else one per equal cell at its midpoint. Both coordinates are
-    nondecreasing.
+    comonotone_cells for two atomic laws, else one per equal cell at its
+    midpoint. Both coordinates are nondecreasing.
     """
 
     atoms: tuple[tuple[float, float, float], ...]
@@ -139,29 +140,16 @@ def comonotone_coupling(
 ) -> ComonotonePair:
     """Couple F and G through a common uniform level.
 
-    For two atomic laws the cells are those of comonotone_cells, one pass
-    over both staircases (the north-west corner rule on sorted atoms),
-    which realizes the coupling exactly with at most n_F + n_G - 1 atoms.
-    The cell of atoms i and j has the exact mass min(A_i, B_j) -
-    max(A_{i-1}, B_{j-1}) over L, with A and B the laws' integer cumulative
-    weights scaled to the common denominator L = lcm(F.total, G.total), so
-    each mass is rounded once (the float levels' difference c - prev is
-    not: 0.04999999999999999 for 1/20). Any other pair is discretized on
+    For two atomic laws the atoms are the cells of comonotone_cells, each
+    with its exact mass rounded once, which realize the coupling exactly
+    with at most n_F + n_G - 1 atoms. Any other pair is discretized on
     n >= 2 equal cells at their midpoints.
     """
     if n < 2:
         raise InputError(f"comonotone_coupling needs n >= 2 cells, got {n!r}")
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
-        L = math.lcm(F.total, G.total)
-        # A[i + 1] and B[j + 1] end the level intervals of atoms i and j
-        sf, sg = L // F.total, L // G.total
-        A = [0, *accumulate(m * sf for m in F.nums)]
-        B = [0, *accumulate(m * sg for m in G.nums)]
-        return ComonotonePair(tuple(
-            (xf[i], xg[j], (min(A[i + 1], B[j + 1]) - max(A[i], B[j])) / L)
-            for i, j, _, _ in comonotone_cells(F, G)
-        ))
+        return ComonotonePair(tuple((xf[i], xg[j], m) for i, j, m in comonotone_cells(F, G)))
     us = ((k + 0.5) / n for k in range(n))
     return ComonotonePair(tuple((F.quantile(u), G.quantile(u), 1.0 / n) for u in us))
 

@@ -1,8 +1,9 @@
 """One-dimensional probability laws with exact CDF and quantile evaluation.
 
 Every law exposes the distribution function F and its generalized inverse
-F^{-1}(u) = inf{x : F(x) >= u}. Atomic laws read exact integer weights
-through correctly rounded float levels; parametric families use closed
+F^{-1}(u) = inf{x : F(x) >= u}. Atomic laws evaluate them through
+correctly rounded float levels of exact integer weights, which the exact
+routes on two atomic laws read directly; parametric families use closed
 forms, with the normal inverse CDF accurate to well below 1e-9. Each
 parametric family also integrates |F^{-1}(u) - y|^p over a cell of levels
 (quantile_cell) in closed form, by truncated moments: the 1-D closed forms
@@ -138,8 +139,9 @@ def merge_atoms(locs: Sequence, weights: Sequence) -> tuple[list, list[int], int
 
 
 class Empirical(Distribution1D):
-    """Finitely supported law: sorted atoms with exact weights nums / total,
-    read through float levels (cumulative weights, each rounded once)."""
+    """Finitely supported law: sorted atoms with exact weights nums / total.
+    cdf and quantile read float levels (cumulative weights, each rounded
+    once); the exact routes against another atomic law read nums."""
 
     def __init__(self, atoms: Iterable[tuple[float, object]]):
         pairs = list(atoms)

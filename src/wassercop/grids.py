@@ -99,15 +99,14 @@ _UFLOW = sys.float_info.min
 
 @functools.cache
 def _rule():
-    """The Kronrod abscissae, and the Kronrod and Gauss weights as the two
-    columns of one matrix, for the nodes in the order -x_1 ... -x_10, 0,
-    x_1 ... x_10."""
+    """The Kronrod abscissae, and the Kronrod and Gauss weights of the nodes
+    in the order -x_1 ... -x_10, 0, x_1 ... x_10."""
     import numpy as np
 
-    weights = np.zeros((21, 2))
-    weights[:, 0] = (*_WGK, *_WGK[:10])
-    weights[1:10:2, 1] = weights[12::2, 1] = _WG
-    return np.array(_XGK), weights
+    wk = np.array((*_WGK, *_WGK[:10]))
+    wg = np.zeros(21)
+    wg[1:10:2] = wg[12::2] = _WG
+    return np.array(_XGK), wk, wg
 
 
 def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
@@ -118,10 +117,13 @@ def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
     accepts the cell, the sum and the error estimate. It accepts the cells
     on which quad stops after one subinterval with no message, to within
     the rounding of the integrand's array form and of the sums' order, and
-    a cell of width 0 with 0.0, as quad gives it."""
+    a cell of width 0 with 0.0, as quad gives it. Each sum is an einsum
+    over its own row, so a cell's results do not depend on the other cells
+    in the pass (a BLAS product blocks its sums by the row count)."""
     import numpy as np
 
-    xgk, weights = _rule()
+    xgk, wk, wg = _rule()
+    dot = functools.partial(np.einsum, "ij,j->i")
     edges = np.array(edges)
     lo, hi = edges[:-1], edges[1:]
     epsabs = tol * (hi - lo) / (edges[-1] - edges[0])
@@ -131,10 +133,9 @@ def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
     # an overflow or a nan leaves a cell's test false, and quad meets it again
     with np.errstate(all="ignore"):
         fv = batch(nodes, np.arange(len(lo)))
-        resk, resg = (fv @ weights).T
-        wk = weights[:, 0]
-        resabs = (abs(fv) @ wk) * hlgth
-        resasc = (abs(fv - 0.5 * resk[:, None]) @ wk) * hlgth
+        resk, resg = dot(fv, wk), dot(fv, wg)
+        resabs = dot(abs(fv), wk) * hlgth
+        resasc = dot(abs(fv - 0.5 * resk[:, None]), wk) * hlgth
         result = resk * hlgth
         abserr = abs((resk - resg) * hlgth)
         shrink = np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)

@@ -161,29 +161,34 @@ def _cdf_kinks(F: Distribution1D, G: Distribution1D) -> list[float]:
 
 
 def _w1_cdf_empirical(F: Empirical, G: Empirical) -> float:
-    # one pass over both sorted location lists: between consecutive merged
-    # locations x < x' both distribution functions are constant
+    """int |F - G| dx in one pass over both sorted location lists: between
+    consecutive merged locations x < x' both distribution functions are
+    constant, held as integer cumulative weights a and b over
+    L = lcm(F.total, G.total). Each term |a - b| / L * (x' - x) divides
+    first: the product overflows for atoms near 1e300 once L is large."""
+    L = math.lcm(F.total, G.total)
+    sf, sg = L // F.total, L // G.total
     xf = F.locations + (math.inf,)  # a sentinel past every finite location
     xg = G.locations + (math.inf,)
-    cf, cg = F.cumulative(), G.cumulative()
+    nf, ng = F.nums, G.nums
     i = j = 0
     u, v = xf[0], xg[0]  # the next locations xf[i] and xg[j]
-    a = b = 0.0  # F(x) and G(x)
+    a = b = 0  # F(x) and G(x), times L
     x = u if u < v else v
     terms = []
     while True:
         if u == x:
-            a = cf[i]
+            a += nf[i] * sf
             i += 1
             u = xf[i]
         if v == x:
-            b = cg[j]
+            b += ng[j] * sg
             j += 1
             v = xg[j]
         nxt = u if u < v else v
         if nxt == math.inf:
             return math.fsum(terms)
-        terms.append(abs(a - b) * (nxt - x))
+        terms.append(abs(a - b) / L * (nxt - x))
         x = nxt
 
 
@@ -259,8 +264,9 @@ def _comonotone_power(
     F: Distribution1D, G: Distribution1D, p: float, tol: float | None
 ) -> tuple[float, float]:
     """W_p^p along the comonotone coupling (F^{-1}(U), G^{-1}(U)) and its
-    error estimate: an exact sum over comonotone_cells for two atomic laws
-    (error 0.0), else quadrature of |F^{-1}(u) - G^{-1}(u)|^p to tol (None:
+    error estimate: for two atomic laws the fsum of m |x_i - y_j|^p over
+    comonotone_cells, whose masses m come from the integer weights (error
+    0.0), else quadrature of |F^{-1}(u) - G^{-1}(u)|^p to tol (None:
     DEFAULT_QUAD_TOL).
 
     Against an atomic G the quadrature walks G's cells (_atom_cells) and
@@ -274,7 +280,7 @@ def _comonotone_power(
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
         cells = comonotone_cells(F, G)
-        return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, _, m in cells]), 0.0
+        return math.fsum([m * abs(xf[i] - xg[j]) ** p for i, j, m in cells]), 0.0
     if isinstance(F, Empirical):
         F, G = G, F
     if not isinstance(G, Empirical):

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 
@@ -122,39 +123,38 @@ class TestComonotoneCoupling:
         ]
 
     def test_margins_reproduced_exactly(self):
-        # the cells are the merged levels, and the cells of each atom of
-        # either law tile exactly that atom's own level interval
+        # the cells are those of the merged rational levels, each against the
+        # two atoms whose level intervals contain it and with its exact mass
+        # rounded once; the exact masses of each atom's cells sum to its weight
         rng = random.Random(5)
         for _ in range(50):
             F = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
             G = Empirical([(rng.uniform(-3, 3), rng.randint(1, 9)) for _ in range(rng.randint(1, 8))])
-            pair = comonotone_coupling(F, G)
-            ends = tuple(c for _, _, c, _ in comonotone_cells(F, G))
-            assert ends == tuple(sorted(set(F.cumulative()) | set(G.cumulative())))
-            cells = list(zip((0.0,) + ends[:-1], ends, pair.atoms))
-            # each mass is the exact overlap of its two atoms' level
-            # intervals, rounded once
             a, b = (
                 [Fraction(c, law.total) for c in accumulate(law.nums, initial=0)] for law in (F, G)
             )
-            for _, _, (x, y, m) in cells:
-                i, j = F.locations.index(x), G.locations.index(y)
-                assert m == float(min(a[i + 1], b[j + 1]) - max(a[i], b[j]))
+            ends = sorted(set(a[1:]) | set(b[1:]))
+            exact = [
+                (bisect_left(a, c) - 1, bisect_left(b, c) - 1, c - prev)
+                for prev, c in zip([0, *ends], ends)
+            ]
+            assert list(comonotone_cells(F, G)) == [(i, j, float(m)) for i, j, m in exact]
+            assert comonotone_coupling(F, G).atoms == tuple(
+                (F.locations[i], G.locations[j], float(m)) for i, j, m in exact
+            )
             for k, law in enumerate((F, G)):
-                covered: dict[float, list[float]] = {}
-                for lo, hi, atom in cells:
-                    covered.setdefault(atom[k], [lo, hi])[1] = hi
-                levels = (0.0,) + law.cumulative()
-                assert covered == {
-                    x: [levels[i], levels[i + 1]] for i, x in enumerate(law.locations)
-                }
+                weights = [Fraction(0)] * len(law.nums)
+                for cell in exact:
+                    weights[cell[k]] += cell[2]
+                assert weights == [Fraction(n, law.total) for n in law.nums]
 
     def test_coinciding_levels_share_one_cell(self):
-        # 0.1 + 0.2 and 0.3 are one level, so no sliver cell appears between them
+        # the weights 1 + 2 and 3 (tenths) end on one level, although 0.1 +
+        # 0.2 != 0.3 in floats, so no sliver cell appears between them
         F = Empirical([(0, "0.1"), (1, "0.2"), (2, "0.7")])
         G = Empirical([(0, "0.3"), (5, "0.7")])
-        assert [c for _, _, c, _ in comonotone_cells(F, G)] == [0.1, 0.3, 1.0]
-        assert [(x, y) for x, y, _ in comonotone_coupling(F, G).atoms] == [(0, 0), (1, 0), (2, 5)]
+        assert list(comonotone_cells(F, G)) == [(0, 0, 0.1), (1, 0, 0.2), (2, 1, 0.7)]
+        assert comonotone_coupling(F, G).atoms == ((0, 0, 0.1), (1, 0, 0.2), (2, 5, 0.7))
 
     def test_default_grid_for_non_atomic_pair(self):
         pair = comonotone_coupling(Uniform(0, 1), Uniform(0, 2))

@@ -515,6 +515,36 @@ def test_batched_first_step_follows_dqagse(integrand, refined):
             assert abs(values[k] - value) <= 1e-15 * value and abs(errors[k] - err) <= 1e-15 * value
 
 
+def atom_cell_list(F, G):
+    """The clamped edges and the atom of each cell, as wp_via_M hands them
+    to quad_cells for a parametric F against atoms G."""
+    edges, ys = [0.0], []
+    levels = G.cumulative()
+    for y, prev, c in zip(G.locations, (0.0, *levels), levels):
+        u = F.cdf(y)
+        for edge in (u, c) if prev < u < c else (c,):
+            edges.append(edge)
+            ys.append(y)
+    return [min(max(x, U_CLAMP), 1.0 - U_CLAMP) for x in edges], ys
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_batched_cells_do_not_depend_on_their_neighbours(p):
+    # appending a cell of width 0 (and its atom) to the pass leaves every
+    # other cell's test, value and error estimate bitwise as they were
+    for F, G in seeded_pairs(Normal, Empirical, 100, seed=1):
+        edges, ys = atom_cell_list(F, G)
+
+        def step(edges, ys):
+            ys = np.array(ys)
+            batch = lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p
+            return grids._kronrod_step(batch, edges, DEFAULT_QUAD_TOL)
+
+        alone, padded = step(edges, ys), step([*edges, edges[-1]], [*ys, ys[-1]])
+        for before, after in zip(alone, padded):
+            assert np.array_equal(before, after[:-1])
+
+
 @pytest.mark.parametrize("law", [Normal(0.3, 1.2), Uniform(-1.0, 2.0), Exponential(0.8)], ids=repr)
 def test_quantile_array_agrees_with_quantile(law):
     # the batched step's quantile: Uniform's own formula, numpy's log1p,
