@@ -20,6 +20,15 @@ may return anything or raise. quantile_array(u) is the unchecked quantile
 at every level of a numpy array (numpy and scipy.special load on its
 first call): Uniform's own formula, numpy's log1p and scipy's ndtri,
 which agree with quantile to rounding, not bitwise.
+
+A law whose support is unbounded below or above says so in the class
+attributes unbounded_below and unbounded_above. The quadrature routes
+integrate a cell that reaches such an end in t = -log u or t = -log(1 - u),
+through lower_tail_function() and upper_tail_function(): t -> F^{-1}(e^-t)
+and t -> F^{-1}(1 - e^-t) for float t > 0, each computed from e^-t itself
+(never from 1 - e^-t, which is 1.0 beyond t = 37), with no clamp, so the
+tail cell reaches the end. survival(x) is 1 - F(x) computed as an upper
+tail, where the top tail cell starts at F(x).
 """
 from __future__ import annotations
 
@@ -63,7 +72,11 @@ def check_order(p: float, name: str = "p") -> None:
 
 
 class Distribution1D:
-    """Base class; subclasses implement cdf and quantile."""
+    """Base class; subclasses implement cdf and quantile. unbounded_below
+    and unbounded_above say whether the support reaches -inf or +inf."""
+
+    unbounded_below = False
+    unbounded_above = False
 
     def cdf(self, x: float) -> float:
         raise NotImplementedError
@@ -83,6 +96,18 @@ class Distribution1D:
     def quantile_array(self, u):
         """quantile at each level of the float ndarray u, every level in
         [U_CLAMP, 1 - U_CLAMP], without quantile's checks and clamp."""
+        raise NotImplementedError
+
+    def lower_tail_function(self) -> Callable[[float], float]:
+        """t -> F^{-1}(e^-t) for float t > 0, computed from e^-t."""
+        raise NotImplementedError
+
+    def upper_tail_function(self) -> Callable[[float], float]:
+        """t -> F^{-1}(1 - e^-t) for float t > 0, computed from e^-t."""
+        raise NotImplementedError
+
+    def survival(self, x: float) -> float:
+        """1 - F(x), the upper-tail probability, not formed as 1 - cdf(x)."""
         raise NotImplementedError
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
@@ -221,6 +246,12 @@ class Uniform(Distribution1D):
     def quantile_array(self, u):
         return _uniform_quantile(self.a, self.b, u)
 
+    def lower_tail_function(self) -> Callable[[float], float]:
+        return partial(_uniform_tail, self.a, self.b - self.a)
+
+    def upper_tail_function(self) -> Callable[[float], float]:
+        return partial(_uniform_tail, self.b, self.a - self.b)
+
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float:
         # x = a + w u runs over [x0, x1]: integrate |x - y|^p dx / w, any p
         # t^(p+1) / w as t^p (t / w): t^(p+1) alone overflows before the cell
@@ -242,6 +273,8 @@ class Uniform(Distribution1D):
 class Normal(Distribution1D):
     mean: float
     stddev: float
+
+    unbounded_below = unbounded_above = True
 
     def __post_init__(self):
         _require_finite(self.mean, "normal mean")
@@ -275,6 +308,17 @@ class Normal(Distribution1D):
 
         return self.mean + self.stddev * ndtri(u)
 
+    def lower_tail_function(self) -> Callable[[float], float]:
+        return partial(_normal_tail, self.mean, self.stddev)
+
+    def upper_tail_function(self) -> Callable[[float], float]:
+        # Phi^{-1}(1 - v) = -Phi^{-1}(v)
+        return partial(_normal_tail, self.mean, -self.stddev)
+
+    def survival(self, x: float) -> float:
+        z = (_require_finite(x, "survival argument") - self.mean) / self.stddev
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:
             return None
@@ -291,6 +335,8 @@ class Normal(Distribution1D):
 @dataclass(frozen=True)
 class Exponential(Distribution1D):
     rate: float
+
+    unbounded_above = True
 
     def __post_init__(self):
         _require_finite(self.rate, "exponential rate")
@@ -320,6 +366,16 @@ class Exponential(Distribution1D):
         import numpy as np  # on first use, as for quad
 
         return -np.log1p(-u) / self.rate
+
+    def lower_tail_function(self) -> Callable[[float], float]:
+        return partial(_exponential_lower_tail, self.rate)
+
+    def upper_tail_function(self) -> Callable[[float], float]:
+        return partial(_exponential_upper_tail, self.rate)
+
+    def survival(self, x: float) -> float:
+        x = _require_finite(x, "survival argument")
+        return 1.0 if x < 0 else math.exp(-self.rate * x)
 
     def quantile_cell(self, u0: float, u1: float, y: float, p: float) -> float | None:
         if p not in CELL_ORDERS:
@@ -356,6 +412,18 @@ def _uniform_quantile(a: float, b: float, u: float) -> float:
     return a + u * (b - a)
 
 
+def _uniform_tail(end: float, width: float, t: float) -> float:
+    # a + w e^-t at the lower end, b - w e^-t at the upper
+    return end + width * math.exp(-t)
+
+
+def _normal_tail(mean: float, scale: float, t: float) -> float:
+    # mean + scale Phi^{-1}(e^-t); where e^-t underflows to 0.0, the leading
+    # term -sqrt(2t) of Phi^{-1}(e^-t) (the cell's weight e^-t is 0.0 there)
+    v = math.exp(-t)
+    return mean + scale * (_STANDARD_NORMAL.inv_cdf(v) if v else -math.sqrt(2.0 * t))
+
+
 def _normal_cdf(mean: float, stddev: float, x: float) -> float:
     return 0.5 * (1.0 + math.erf((x - mean) / (stddev * math.sqrt(2.0))))
 
@@ -366,6 +434,14 @@ def _exponential_cdf(rate: float, x: float) -> float:
 
 def _exponential_quantile(rate: float, u: float) -> float:
     return -math.log1p(-u) / rate
+
+
+def _exponential_lower_tail(rate: float, t: float) -> float:
+    return -math.log1p(-math.exp(-t)) / rate
+
+
+def _exponential_upper_tail(rate: float, t: float) -> float:
+    return t / rate  # F(t / rate) = 1 - e^-t
 
 
 def _standard_z(u: float) -> float:

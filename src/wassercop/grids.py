@@ -12,7 +12,10 @@ An integrand is called only inside its own cell. integrate_unit clamps the
 edges to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
 level beyond the clamp; the quadrature routes rely on that when they
 evaluate the laws' unchecked quantile_function() and quantile_array()
-(see distributions).
+(see distributions). A cell that reaches an unbounded end of a law is a
+tail instead: integrate_unit integrates it in t = -log u or t = -log(1 - u)
+over [t0, inf), with quad's infinite-interval rule (dqagie), so no clamp
+cuts it short; its integrand reads the laws' tail functions, which take t.
 """
 from __future__ import annotations
 
@@ -21,17 +24,20 @@ import math
 import sys
 from typing import Callable, Sequence
 
-# Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], so quadrature
-# skips the levels beyond the clamp. That is not always negligible: for a slow
-# tail at p = 3, wp_via_M(Exponential(0.5), Empirical([(0, 3), (4, 1)]), 3)
-# is 1.5e-7 below the closed form. ROADMAP item 3 plans tail cells in
-# t = -log(1 - u) to close the gap.
+# Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], and so are the
+# cell edges of integrate_unit. With the tails taken in t, the clamp cuts
+# only a cell at a bounded end (a Uniform law's ends, an Exponential law's
+# 0), where the integrand is bounded and the 1e-12 of level it skips costs
+# at most 1e-12 of that bound, and w1_cdf's range of x.
 U_CLAMP = 1e-12
 
 DEFAULT_QUAD_TOL = 1e-8
 
 # the integrand of cell k, integrated over [edges[k], edges[k + 1]]
 Integrand = Callable[[int], Callable[[float], float]]
+# a cell at an unbounded end, (lo, hi, t0, g): its levels [lo, hi], and the
+# integrand g of t over [t0, inf) that its integral is taken as
+Tail = tuple[float, float, float, Callable[[float], float]]
 # the integrand of every cell for arrays: batch(u, k)[i, j] is the integrand
 # of the cell with index k[i] at the level u[i, j]
 Batch = Callable[["numpy.ndarray", "numpy.ndarray"], "numpy.ndarray"]
@@ -55,17 +61,10 @@ class QuadratureError(ArithmeticError):
     """Adaptive quadrature stopped on a cell short of its tolerance."""
 
 
-# a cell that quad stalls on is integrated again with breakpoints at these
-# fractions of its width from either end
-_GRADED = tuple(10.0**-k for k in range(1, 13))
-
-
-def _quad(quad, f, lo: float, hi: float, epsabs: float, epsrel: float, points=None):
+def _quad(quad, f, lo: float, hi: float, epsabs: float, epsrel: float):
     """scipy's quad's (value, error, message); with full_output it returns a
     failure message (None on success) in place of an IntegrationWarning."""
-    value, err, _, *message = quad(
-        f, lo, hi, epsabs=epsabs, epsrel=epsrel, points=points, full_output=1
-    )
+    value, err, _, *message = quad(f, lo, hi, epsabs=epsabs, epsrel=epsrel, full_output=1)
     return value, err, message[0] if message else None
 
 
@@ -150,7 +149,11 @@ def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
 
 
 def quad_cells(
-    edges: Sequence[float], integrand: Integrand, tol: float, batch: Batch | None = None
+    edges: Sequence[float],
+    integrand: Integrand,
+    tol: float,
+    batch: Batch | None = None,
+    tails: dict[int, Tail] | None = None,
 ) -> tuple[float, float]:
     """Integrate a piecewise integrand over [edges[0], edges[-1]], given by
     its sorted cell edges and integrand(k), the integrand of the cell
@@ -163,32 +166,33 @@ def quad_cells(
     quad's first step runs on every cell at once (_kronrod_step): a cell
     that step accepts keeps its value and error, and only the others go to
     quad, so error_estimate means what it means without batch, and
-    integrand(k) is called only for a cell that quad takes. A cell that
-    quad gives up on, typically one whose integrand steepens towards an end
-    (a quantile near the 1e-12 clamp), is integrated again graded
-    geometrically towards both ends. If quad gives up on it again,
-    QuadratureError is raised unless the summed estimate still meets tol,
-    absolute or relative, for the whole integral.
+    integrand(k) is called only for a cell that quad takes. tails maps the
+    index of a cell at an unbounded end of the unit interval to its Tail:
+    quad integrates that cell in t over [t0, inf) (QUADPACK's dqagie), with
+    the absolute tolerance tol times its width in levels. If quad gives up
+    on a cell, QuadratureError, naming the first such cell by its edges (a
+    tail by its levels), is raised unless the summed estimate still meets
+    tol, absolute or relative, for the whole integral.
     """
     import scipy.integrate as integrate  # on first use: atomic routes never load scipy
 
     quad = integrate.quad
+    tails = tails or {}
     span = edges[-1] - edges[0]
     values, errors, rest = [], [], range(len(edges) - 1)
     if batch is not None:
         accept, value, err = _kronrod_step(batch, edges, tol)
+        accept[list(tails)] = False  # a tail is integrated in t, below
         values, errors = value[accept].tolist(), err[accept].tolist()
         rest = (~accept).nonzero()[0].tolist()
     failed = None
     for k in rest:
-        f, lo, hi = integrand(k), edges[k], edges[k + 1]
-        epsabs = tol * (hi - lo) / span
-        value, err, message = _quad(quad, f, lo, hi, epsabs, tol)
-        if message is not None:
-            # no point so close to an end that floats cannot resolve the gap
-            w, floor = hi - lo, U_CLAMP * max(1.0, abs(lo), abs(hi))
-            pts = sorted({x for g in _GRADED if w * g > floor for x in (lo + w * g, hi - w * g)})
-            value, err, message = _quad(quad, f, lo, hi, epsabs, tol, pts or None)
+        if k in tails:
+            lo, hi, t0, f = tails[k]
+            value, err, message = _quad(quad, f, t0, math.inf, tol * (hi - lo), tol)
+        else:
+            f, lo, hi = integrand(k), edges[k], edges[k + 1]
+            value, err, message = _quad(quad, f, lo, hi, tol * (hi - lo) / span, tol)
         if message is not None and failed is None:
             failed = f"[{lo!r}, {hi!r}]: " + " ".join(message.split(".")[0].split())
         values.append(value)
@@ -200,7 +204,12 @@ def quad_cells(
 
 
 def integrate_unit(
-    edges: Sequence[float], integrand: Integrand, tol: float, batch: Batch | None = None
+    edges: Sequence[float],
+    integrand: Integrand,
+    tol: float,
+    batch: Batch | None = None,
+    lower: tuple[float, Callable[[float], float]] | None = None,
+    upper: tuple[float, Callable[[float], float]] | None = None,
 ) -> tuple[float, float]:
     """Integrate a piecewise integrand over (0, 1) to tol, returning (value,
     error_estimate).
@@ -213,6 +222,20 @@ def integrate_unit(
     and each cell is integrated on its own (quad_cells). batch, if given,
     is the integrand for arrays (Batch, by the same index): quad_cells
     takes quad's first step on every cell with it at once.
+
+    lower, where a law is unbounded as u -> 0, is (t0, g): the first cell,
+    levels (0, edges[1]], is integrated in t = -log u instead, as the
+    integral of g(t) = integrand(0)(e^-t) e^-t over [t0, inf), with t0 =
+    -log edges[1]. upper, where a law is unbounded as u -> 1, likewise
+    takes the last cell, levels [edges[-2], 1), in t = -log(1 - u), with
+    t0 = -log(1 - edges[-2]). The caller computes t0 from the exact level
+    it knows, which a rounded edge may not carry.
     """
     top = 1.0 - U_CLAMP
-    return quad_cells([min(max(x, U_CLAMP), top) for x in edges], integrand, tol, batch)
+    tails = {}
+    if lower is not None:
+        tails[0] = (0.0, edges[1], *lower)
+    if upper is not None:
+        tails[len(edges) - 2] = (edges[-2], 1.0, *upper)
+    clamped = [min(max(x, U_CLAMP), top) for x in edges]
+    return quad_cells(clamped, integrand, tol, batch, tails)

@@ -14,8 +14,12 @@ inside w1_cdf's finite range [lo, hi], where both give bitwise the values
 of the checked methods. Against atoms the cells also come with their
 integrand for arrays, through quantile_array(): integrate_unit takes quad's
 first Gauss-Kronrod step on every atom cell in one numpy pass, and quad
-only the cells that step does not accept. Two parametric laws (one or two
-cells) and w1_cdf take one quad per cell.
+only the cells that step does not accept. Two parametric laws (one to
+three cells) and w1_cdf take one quad per cell. A cell that reaches an
+unbounded end of a law (a Normal law's two, an Exponential law's top) is
+a tail: quad integrates it in t = -log u or t = -log(1 - u) over
+[t0, inf), through the laws' tail functions, so (0, 1) is covered
+without a clamp there; the clamp cuts only a cell at a bounded end.
 """
 from __future__ import annotations
 
@@ -272,10 +276,14 @@ def _comonotone_power(
     Against an atomic G the quadrature walks G's cells (_atom_cells) and
     integrates |F^{-1}(u) - y|^p against each cell's own atom y, split
     where F(y) falls inside the cell: there the integrand kinks (p < 2) or
-    falls to 0 and can steepen again towards the clamp. integrate_unit
-    also gets the integrand for arrays, through F.quantile_array, so quad's
-    first step runs on all the cells at once. Two parametric laws split at
-    _kinks."""
+    falls to 0. integrate_unit also gets the integrand for arrays, through
+    F.quantile_array, so quad's first step runs on all the cells at once.
+    Two parametric laws split at _kinks. A cell that reaches an unbounded
+    end of a law is a tail, integrated in t = -log u or t = -log(1 - u)
+    through the laws' tail functions (_tail_gap), from the exact level it
+    starts at: G's top cell from G's exact top mass, or from F's own
+    upper-tail probability at y where that cell splits at F(y). A single
+    cell with both ends unbounded splits at 1/2."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
@@ -284,9 +292,21 @@ def _comonotone_power(
     if isinstance(F, Empirical):
         F, G = G, F
     if not isinstance(G, Empirical):
+        below = F.unbounded_below or G.unbounded_below
+        above = F.unbounded_above or G.unbounded_above
+        edges = [0.0, *_kinks(F, G, p), 1.0]
+        if below and above and len(edges) == 2:
+            edges.insert(1, 0.5)
         fq, gq = F.quantile_function(), G.quantile_function()
         f = lambda u: abs(fq(u) - gq(u)) ** p
-        return integrate_unit([0.0, *_kinks(F, G, p), 1.0], lambda k: f, tol)
+        lower = upper = None
+        if below:
+            gap = _tails_gap(F.lower_tail_function(), G.lower_tail_function(), p)
+            lower = (-math.log(edges[1]), gap)
+        if above:
+            gap = _tails_gap(F.upper_tail_function(), G.upper_tail_function(), p)
+            upper = (-math.log1p(-edges[-2]), gap)
+        return integrate_unit(edges, lambda k: f, tol, lower=lower, upper=upper)
     edges, ys = [0.0], []  # cell k runs from edges[k] to edges[k + 1] against ys[k]
     fq, fc = F.quantile_function(), F.cdf_function()  # the atoms are finite
     for y, prev, c in _atom_cells(G):
@@ -294,16 +314,40 @@ def _comonotone_power(
         for edge in (u, c) if prev < u < c else (c,):
             edges.append(edge)
             ys.append(y)
+    if F.unbounded_below and F.unbounded_above and len(ys) == 1:
+        edges, ys, top = [0.0, 0.5, 1.0], ys * 2, 0.5
+    elif F.unbounded_above:
+        # the top cell's survival 1 - edges[-2], never formed from a level
+        # (y, prev, u and c are the top atom's)
+        top = F.survival(y) if prev < u < c else G.nums[-1] / G.total
+    lower = upper = None
+    if F.unbounded_below:
+        lower = (-math.log(edges[1]), _tail_gap(F.lower_tail_function(), ys[0], p))
+    if F.unbounded_above:
+        upper = (-math.log(top), _tail_gap(F.upper_tail_function(), ys[-1], p))
     import numpy as np  # on first use, as for quad
 
     ys = np.array(ys)
     batch = lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p
-    return integrate_unit(edges, lambda k: _quantile_gap(fq, float(ys[k]), p), tol, batch)
+    integrand = lambda k: _quantile_gap(fq, float(ys[k]), p)
+    return integrate_unit(edges, integrand, tol, batch, lower, upper)
 
 
 def _quantile_gap(quantile, y: float, p: float):
     """u -> |quantile(u) - y|^p: the integrand where the other quantile is y."""
     return lambda u: abs(quantile(u) - y) ** p
+
+
+def _tail_gap(tail, y: float, p: float):
+    """t -> |tail(t) - y|^p e^-t: a tail cell's integrand in t, where the
+    other quantile is y; e^-t is |du/dt|. The weight goes inside the power,
+    as e^(-t/p), so the product stays finite far out in t."""
+    return lambda t: (abs(tail(t) - y) * math.exp(-t / p)) ** p
+
+
+def _tails_gap(tail, other, p: float):
+    """_tail_gap against the other law's tail function."""
+    return lambda t: (abs(tail(t) - other(t)) * math.exp(-t / p)) ** p
 
 
 def wp_quantile(

@@ -199,8 +199,9 @@ class TestGridArguments:
         assert err.startswith("error: quadrature failed on the cell") and len(err.splitlines()) == 1
 
     def test_unreachable_tolerance_names_the_first_failed_cell(self, tmp_path, capsys):
-        # against atoms -1 and 1 the first cell runs from the clamp to
-        # F(-1) = Phi(-1), where |F^{-1}(u) + 1| kinks at p = 1
+        # against atoms -1 and 1 the first cell runs from level 0 to
+        # F(-1) = Phi(-1), where |F^{-1}(u) + 1| kinks at p = 1: a tail, named
+        # by its levels though quad integrates it in t = -log u
         a = tmp_path / "N.json"
         b = tmp_path / "atoms.csv"
         a.write_text(json.dumps({"kind": "normal", "mean": 0, "stddev": 1}))
@@ -210,7 +211,7 @@ class TestGridArguments:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: quadrature failed on the cell [1e-12, 0.15865525393145707]: ")
+        assert err.startswith("error: quadrature failed on the cell [0.0, 0.15865525393145707]: ")
 
     def test_range_without_width_exit_4(self, tmp_path, capsys):
         # every clamped quantile of N(1e20, 1) and N(1e20, 2) rounds to 1e20,

@@ -1,5 +1,8 @@
 """Closed-form quantile cells of the parametric families, against mpmath
 quadrature and against the quadrature route wp_via_M."""
+import math
+import random
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -174,20 +177,57 @@ atomic = st.lists(
 # towards the clamp: unsplit there, quad missed by 3.0e-6
 @example(pair=(Normal(-1.861778875846241, 0.5), Empirical([(-1.0, 7), (0.0, 134)])), p=2.0)
 def test_closed_form_agrees_with_quadrature(pair, p):
-    # ten times quad's 1e-8 tolerance, as in the benchmark's check: quad
-    # skips the levels beyond the 1e-12 clamp (1.5e-7 of W_3^3 = 9.06 for
-    # Exponential(0.5) against atoms 0 and 4), and its estimate can run 3x
-    # short on a cell that steepens towards one end
+    # ten times quad's 1e-8 tolerance, as in the benchmark's check: its
+    # estimate can run 3x short on a cell that steepens towards one end
     F, G = pair
     cells = wp_quantile(F, G, p).power_value
     quad = wp_via_M(F, G, p).power_value
     assert abs(cells - quad) <= 1e-7 * (1.0 + abs(cells))
 
 
+# An atom of weight 1e-10 at 1e6 on top of a standard normal law: its cell's
+# last 1e-12 of level, where |Phi^{-1}(u) - 1e6|^2 is about 1e12, carries 1%
+# of W_2^2. The values are mpmath's, at 40 digits, on the exact levels.
+TINY_TOP_ATOM = Empirical([(0.0, 10**10 - 1), (1e6, 1)])
+
+
+@pytest.mark.parametrize("p, want", [(2.0, 100.99869768240058), (1.0, 0.7979845595005478)])
+def test_top_tail_reaches_an_atom_of_tiny_weight(p, want):
+    r = wp_via_M(Normal(0.0, 1.0), TINY_TOP_ATOM, p)
+    assert abs(r.power_value - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("y", [-10.0, 10.0, 40.0])
+def test_one_cell_with_both_ends_unbounded_splits_in_half(y):
+    # F(y) rounds to 0.0 or 1.0, so the point mass's one cell is not split
+    # at F(y); its halves are the lower and the upper tail
+    G = Empirical([(y, 1)])
+    for p in (1.0, 2.0, 3.0):
+        want = wp_quantile(Normal(0.0, 1.0), G, p).power_value
+        assert abs(wp_via_M(Normal(0.0, 1.0), G, p).power_value - want) <= 1e-12 * want
+
+
+def test_slow_exponential_tail_meets_the_closed_form():
+    # the top cell, atom 4's, runs from its exact mass 1/4 to level 1 in t
+    F, G = Exponential(0.5), Empirical([(0.0, 3), (4.0, 1)])
+    want = wp_quantile(F, G, 3.0).power_value
+    assert abs(wp_via_M(F, G, 3.0).power_value - want) <= 1e-14 * want
+
+
+def test_exponential_tails_against_atoms_meet_the_closed_form():
+    rng = random.Random(3)
+    for _ in range(100):
+        F = Exponential(rng.uniform(0.5, 2.0))
+        n = rng.randint(1, 100)
+        G = Empirical([(round(rng.uniform(-3.0, 3.0), 6), rng.randint(1, 9)) for _ in range(n)])
+        want = wp_quantile(F, G, 3.0).power_value
+        assert abs(wp_via_M(F, G, 3.0).power_value - want) <= 1e-10 * (1.0 + want)
+
+
 # Pairs whose quadrature integrands read the laws through quantile_function()
-# and cdf_function(). The last two are known quadrature misses: a
-# Normal-Uniform crossing that no split finds, and a slow exponential tail
-# cut at U_CLAMP.
+# and cdf_function(), and through the tail functions where a law is
+# unbounded. The Normal-Uniform pair is a known quadrature miss: a crossing
+# that no split finds.
 QUADRATURE_PAIRS = [
     (Uniform(0.0, 1.0), Uniform(0.0, 2.0), (2.0,)),
     (Uniform(-1.0, 2.0), Uniform(0.5, 1.0), (1.0,)),
@@ -196,7 +236,8 @@ QUADRATURE_PAIRS = [
     (Normal(0.0, 1.0), sample(Normal(0.0, 1.0), 100), (1.0, 1.5, 2.0, 3.0)),
     (Normal(0.35365423516361116, 0.7244608023000971),
      Uniform(-1.8773229000069938, -0.1506538607526362), (1.0,)),
-    # at p = 8 quad halves the last cell down to within 1e-12 of level 1
+    # a slow tail: the top cell, integrated in t, carries 1.5e-7 of W_3^3
+    # beyond level 1 - 1e-12
     (Exponential(0.5), Empirical([(0.0, 3), (4.0, 1)]), (3.0, 8.0)),
 ]
 # point masses at the ends of the parametric law's support
@@ -228,8 +269,9 @@ def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
     # the precondition that lets the integrands skip quantile's and cdf's
     # checks: integrate_unit clamps the edges to [U_CLAMP, 1 - U_CLAMP], and
     # w1_cdf integrates over its finite range [lo, hi]; "a" holds the levels
-    # of quad's batched first step against atoms
-    seen = {"u": [], "x": [], "a": []}
+    # of quad's batched first step against atoms. The tail cells at an
+    # unbounded end read the tail functions, at t > 0 ("t"), and no level.
+    seen = {"u": [], "x": [], "a": [], "t": []}
 
     def recording(accessor, key):
         def wrapped(law):
@@ -251,8 +293,10 @@ def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
 
         return record
 
+    accessors = [("quantile_function", "u"), ("cdf_function", "x")]
+    accessors += [("lower_tail_function", "t"), ("upper_tail_function", "t")]
     for cls in (Distribution1D, Uniform, Normal, Exponential):
-        for name, key in (("quantile_function", "u"), ("cdf_function", "x")):
+        for name, key in accessors:
             monkeypatch.setattr(cls, name, recording(vars(cls)[name], key))
     for cls in (Uniform, Normal, Exponential):
         monkeypatch.setattr(cls, "quantile_array", recording_array(cls.quantile_array))
@@ -263,10 +307,12 @@ def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
         assert all(type(u) is float for u in seen["u"])
         if isinstance(F, Empirical) or isinstance(G, Empirical):
             assert seen["a"]
-        else:
-            assert seen["u"] and not seen["a"]  # two parametric laws: quad alone
-        levels = seen["u"] + seen["a"]
-        assert U_CLAMP <= min(levels) and max(levels) <= 1.0 - U_CLAMP
+        else:  # two parametric laws: quad alone, on levels or in t
+            assert (seen["u"] or seen["t"]) and not seen["a"]
+        assert all(U_CLAMP <= u <= 1.0 - U_CLAMP for u in seen["u"] + seen["a"])
+        assert all(type(t) is float and 0.0 < t < math.inf for t in seen["t"])
+        unbounded = any(law.unbounded_below or law.unbounded_above for law in (F, G))
+        assert bool(seen["t"]) == unbounded
         lo = min(F.quantile(U_CLAMP), G.quantile(U_CLAMP))
         hi = max(F.quantile(1.0 - U_CLAMP), G.quantile(1.0 - U_CLAMP))
         assert seen["x"] and all(type(x) is float for x in seen["x"])

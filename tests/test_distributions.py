@@ -131,6 +131,35 @@ class TestQuantile:
         c = law.cdf_function()
         assert [float.hex(c(x)) for x in xs] == [float.hex(law.cdf(x)) for x in xs]
 
+    @pytest.mark.parametrize(
+        "law, scipy_law",
+        [
+            (Uniform(-1.0, 2.0), stats.uniform(-1.0, 3.0)),
+            (Normal(0.3, 1.2), stats.norm(0.3, 1.2)),
+            (Exponential(0.8), stats.expon(scale=1 / 0.8)),
+        ],
+        ids=repr,
+    )
+    def test_tail_functions_read_the_levels_in_t(self, law, scipy_law):
+        # F^{-1}(e^-t) and F^{-1}(1 - e^-t), from e^-t itself: far out, where
+        # 1 - e^-t rounds to 1.0, they still meet scipy's ppf and isf
+        lower, upper = law.lower_tail_function(), law.upper_tail_function()
+        for t in (0.01, 0.5, 3.0, 40.0, 300.0, 700.0):
+            v = math.exp(-t)
+            assert lower(t) == pytest.approx(scipy_law.ppf(v), rel=1e-12, abs=1e-15)
+            assert upper(t) == pytest.approx(scipy_law.isf(v), rel=1e-12, abs=1e-15)
+        # beyond the least float level the tails stay finite
+        assert math.isfinite(lower(800.0)) and math.isfinite(upper(800.0))
+        if law.unbounded_above:
+            for x in (-3.0, 0.0, 2.0, 8.0, 30.0):
+                assert law.survival(x) == pytest.approx(scipy_law.sf(x), rel=1e-13)
+
+    def test_unbounded_ends(self):
+        ends = lambda law: (law.unbounded_below, law.unbounded_above)
+        assert ends(Normal(0.0, 1.0)) == (True, True)
+        assert ends(Exponential(1.0)) == (False, True)
+        assert ends(Uniform(0.0, 1.0)) == ends(TWO_POINT) == (False, False)
+
     def test_out_of_range_rejected(self):
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from wassercop import (
 )
 from wassercop import grids, wasserstein
 from wassercop.distributions import check_order
-from wassercop.grids import DEFAULT_QUAD_TOL, U_CLAMP, integrate_unit, quad_cells, quad_tol
+from wassercop.grids import DEFAULT_QUAD_TOL, U_CLAMP, quad_cells, quad_tol
 from wassercop.io import load_copula
 
 HALF = Fraction(1, 2)
@@ -367,9 +367,10 @@ def atom_breaks(F, G):
 
 
 class TestCellIntegrands:
-    """Against atoms, each cell is integrated against its own atom: the
-    same edges and integrand values as looking both laws up at every node,
-    in quad's batched first step and in quad, so the same floats come out."""
+    """Against atoms, each interior cell is integrated against its own atom:
+    the same edges and integrand values as looking both laws up at every
+    node, in quad's batched first step and in quad, so the same floats come
+    out. The cells at the parametric law's unbounded ends are its tails."""
 
     ATOMS = {
         Normal(0.3, 1.2): [(-1.0, 1), (0.3, 1), (2.0, 2)],  # F(0.3) = 0.5, a level
@@ -385,21 +386,38 @@ class TestCellIntegrands:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("F", list(ATOMS), ids=lambda F: type(F).__name__)
-    def test_quantile_cells_match_per_node_lookup(self, F, p):
+    def test_quantile_cells_match_per_node_lookup(self, F, p, monkeypatch):
         G = self.with_tiny_atoms(self.ATOMS[F])
         assert G.cumulative()[0] < U_CLAMP
         edges = [0.0, *sorted(atom_breaks(F, G)), 1.0]
+        clamped = [min(max(x, U_CLAMP), 1.0 - U_CLAMP) for x in edges]
         f = lambda u: abs(F.quantile(u) - G.quantile(u)) ** p
         # G's array lookup: the first atom whose level is >= u, as G.quantile
         locs, levels = np.array(G.locations), np.array(G.cumulative())
         batch = lambda u, k: abs(F.quantile_array(u) - locs[np.searchsorted(levels, u)]) ** p
-        ref = integrate_unit(edges, lambda k: f, DEFAULT_QUAD_TOL, batch)
+        seen = []
+
+        def spy(edges, integrand, tol, batch=None, tails=None):
+            seen.append((edges, tails))
+            return quad_cells(edges, integrand, tol, batch, tails)
+
+        monkeypatch.setattr(grids, "quad_cells", spy)
         routes = [wp_via_M]
         if p == 1.5 and not isinstance(F, Uniform):  # no closed-form cell: the fallback
             routes.append(wp_quantile)
         for route in routes:
             for a, b in ((F, G), (G, F)):
+                seen.clear()
                 r = route(a, b, p)
+                [(cells, tails)] = seen
+                assert cells == clamped
+                # the tails are the end cells at F's unbounded ends
+                ends = {0: F.unbounded_below, len(edges) - 2: F.unbounded_above}
+                assert set(tails) == {k for k, unbounded in ends.items() if unbounded}
+                for k, (lo, hi, _, _) in tails.items():
+                    assert (lo, hi) == (edges[k], edges[k + 1])
+                # the interior cells looked up at every node, with the same tails
+                ref = quad_cells(clamped, lambda k: f, DEFAULT_QUAD_TOL, batch, tails)
                 assert (r.power_value, r.error_estimate) == ref
 
     @pytest.mark.parametrize("F", list(ATOMS), ids=lambda F: type(F).__name__)
@@ -449,23 +467,26 @@ def test_batched_first_step_is_quads_first_step(family, monkeypatch):
     # compared with quad on the batch's own integrand values (g), since
     # quantile_array agrees with quantile only to rounding; dqk21's error
     # estimate raises the sums' last-bit differences to the power 1.5.
+    # The cells at an unbounded end are tails, which quad integrates in t.
     seen = []
 
-    def spy(edges, integrand, tol, batch=None):
-        seen.append((edges, integrand, tol, batch))
-        return quad_cells(edges, integrand, tol, batch)
+    def spy(edges, integrand, tol, batch=None, tails=None):
+        seen.append((edges, integrand, tol, batch, tails))
+        return quad_cells(edges, integrand, tol, batch, tails)
 
     monkeypatch.setattr(grids, "quad_cells", spy)
     for F, G in seeded_pairs(family, Empirical, 20):
         for p in (1.0, 1.5, 2.0, 3.0):
             wp_via_M(F, G, p)
     accepted = 0
-    for edges, integrand, tol, batch in seen:
+    for edges, integrand, tol, batch, tails in seen:
         # the end edges are clamped at U_CLAMP
         assert edges[0] == U_CLAMP and edges[-1] == 1.0 - U_CLAMP
         span = edges[-1] - edges[0]
         accept, values, errors = grids._kronrod_step(batch, edges, tol)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            if k in tails:
+                continue
             if lo == hi:  # a cell beyond the clamp: 0.0, as quad gives it
                 assert accept[k] and values[k] == errors[k] == 0.0
                 continue
