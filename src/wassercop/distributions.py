@@ -9,17 +9,18 @@ parametric family also integrates |F^{-1}(u) - y|^p over a cell of levels
 (quantile_cell) in closed form, by truncated moments: the 1-D closed forms
 of Peyre & Cuturi, Computational Optimal Transport (2019), section 2.6.
 
-quantile and cdf check their argument, and the parametric quantiles clamp
-the level to [U_CLAMP, 1 - U_CLAMP]. The quadrature integrands call them at
-every node, but only ever at a float level inside that range or at a finite
-float x, where the checks and the clamp change nothing. For them each law
-hands out quantile_function() and cdf_function(): callables for exactly
-those arguments, which skip the checks and the clamp but share the
-methods' formula, so they give bitwise the methods' values. Elsewhere they
-may return anything or raise. quantile_array(u) is the unchecked quantile
-at every level of a numpy array (numpy and scipy.special load on its
-first call): Uniform's own formula, numpy's log1p and scipy's ndtri,
-which agree with quantile to rounding, not bitwise.
+quantile and cdf check their argument, and the quantile of a law with an
+unbounded end clamps the level to [U_CLAMP, 1 - U_CLAMP], where it is
+finite; Distribution1D defines both once, over each law's quantile_function()
+and cdf_function(). Those are the unchecked callables the quadrature
+integrands call at every node: u -> F^{-1}(u) for a float level strictly
+inside (0, 1) and x -> F(x) for a finite float x, with no check and no
+clamp, so they give bitwise the methods' values wherever the check passes
+and the clamp changes nothing. Elsewhere they may return anything or raise.
+quantile_array(u) is the unchecked quantile at every level of a numpy array
+(numpy and scipy.special load on its first call): Uniform's own formula,
+numpy's log1p and scipy's ndtri, which agree with quantile_function() to
+rounding, not bitwise.
 
 A law whose support is unbounded below or above says so in the class
 attributes unbounded_below and unbounded_above. The quadrature routes
@@ -42,8 +43,13 @@ from itertools import accumulate
 from statistics import NormalDist
 from typing import Callable, Iterable, Sequence
 
-from .grids import U_CLAMP, InputError
+from .grids import InputError
 
+# The checked quantile of a law with an unbounded end reads the level
+# clamped to [U_CLAMP, 1 - U_CLAMP], where it is finite, and w1_cdf
+# integrates over the range of x between those quantiles. The quadrature
+# routes cover (0, 1) to its ends without a clamp.
+U_CLAMP = 1e-12
 # orders p at which the Normal and Exponential cells have a closed form
 CELL_ORDERS = (1.0, 2.0, 3.0)
 _U_TOP = 1.0 - U_CLAMP
@@ -72,30 +78,38 @@ def check_order(p: float, name: str = "p") -> None:
 
 
 class Distribution1D:
-    """Base class; subclasses implement cdf and quantile. unbounded_below
+    """Base class. A subclass defines cdf_function and quantile_function,
+    and the checked cdf and quantile below call them; or it defines cdf and
+    quantile itself, which the two accessors then hand out. unbounded_below
     and unbounded_above say whether the support reaches -inf or +inf."""
 
     unbounded_below = False
     unbounded_above = False
 
     def cdf(self, x: float) -> float:
-        raise NotImplementedError
+        return self.cdf_function()(_require_finite(x, "cdf argument"))
 
     def quantile(self, u: float) -> float:
-        raise NotImplementedError
+        u = _check_u(u)
+        if self.unbounded_below or self.unbounded_above:
+            if u < U_CLAMP:
+                u = U_CLAMP
+            elif u > _U_TOP:
+                u = _U_TOP
+        return self.quantile_function()(u)
 
     def cdf_function(self) -> Callable[[float], float]:
-        """x -> cdf(x) for finite float x, possibly without cdf's checks."""
+        """x -> F(x) for finite float x, possibly without cdf's check."""
         return self.cdf
 
     def quantile_function(self) -> Callable[[float], float]:
-        """u -> quantile(u) for float u in [U_CLAMP, 1 - U_CLAMP], possibly
-        without quantile's checks and clamp."""
+        """u -> F^{-1}(u) for float u strictly inside (0, 1), possibly
+        without quantile's check and clamp."""
         return self.quantile
 
     def quantile_array(self, u):
-        """quantile at each level of the float ndarray u, every level in
-        [U_CLAMP, 1 - U_CLAMP], without quantile's checks and clamp."""
+        """F^{-1} at each level of the float ndarray u, every level strictly
+        inside (0, 1), without quantile's check and clamp."""
         raise NotImplementedError
 
     def lower_tail_function(self) -> Callable[[float], float]:
@@ -231,12 +245,6 @@ class Uniform(Distribution1D):
         if not math.isfinite(self.b - self.a):
             raise ValueError(f"uniform width b - a overflows a float for [{self.a!r}, {self.b!r}]")
 
-    def cdf(self, x: float) -> float:
-        return _uniform_cdf(self.a, self.b, _require_finite(x, "cdf argument"))
-
-    def quantile(self, u: float) -> float:
-        return _uniform_quantile(self.a, self.b, _check_u(u))
-
     def cdf_function(self) -> Callable[[float], float]:
         return partial(_uniform_cdf, self.a, self.b)
 
@@ -282,20 +290,9 @@ class Normal(Distribution1D):
         if not self.stddev > 0:
             raise ValueError("normal law needs stddev > 0")
 
-    def cdf(self, x: float) -> float:
-        return _normal_cdf(self.mean, self.stddev, _require_finite(x, "cdf argument"))
-
     @cached_property
     def _dist(self) -> NormalDist:
         return NormalDist(self.mean, self.stddev)
-
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        if u < U_CLAMP:
-            u = U_CLAMP
-        elif u > _U_TOP:
-            u = _U_TOP
-        return self._dist.inv_cdf(u)
 
     def cdf_function(self) -> Callable[[float], float]:
         return partial(_normal_cdf, self.mean, self.stddev)
@@ -345,17 +342,6 @@ class Exponential(Distribution1D):
         if not math.isfinite(1.0 / self.rate):
             raise ValueError(f"exponential mean 1/rate overflows a float for rate {self.rate!r}")
 
-    def cdf(self, x: float) -> float:
-        return _exponential_cdf(self.rate, _require_finite(x, "cdf argument"))
-
-    def quantile(self, u: float) -> float:
-        u = _check_u(u)
-        if u < U_CLAMP:
-            u = U_CLAMP
-        elif u > _U_TOP:
-            u = _U_TOP
-        return _exponential_quantile(self.rate, u)
-
     def cdf_function(self) -> Callable[[float], float]:
         return partial(_exponential_cdf, self.rate)
 
@@ -396,8 +382,8 @@ class Exponential(Distribution1D):
         return value
 
 
-# The parametric formulas, each shared by a law's checked method and its
-# unchecked callable (partial over the law's parameters)
+# The parametric formulas, which a law's unchecked callables (partial over
+# the law's parameters) and so its checked methods evaluate
 
 
 def _uniform_cdf(a: float, b: float, x: float) -> float:

@@ -1,4 +1,4 @@
-"""Adaptive quadrature on the unit interval (0, 1).
+"""Adaptive quadrature of a piecewise integrand, cell by cell.
 
 A piecewise integrand is integrated cell by cell with scipy's quad
 (QUADPACK's dqagse: Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
@@ -8,14 +8,13 @@ quad would take on each cell, one 21-point Gauss-Kronrod sum and
 QUADPACK's test whether to stop there, runs for every cell in one numpy
 pass, and quad takes only the cells that test does not accept.
 
-An integrand is called only inside its own cell. integrate_unit clamps the
-edges to [U_CLAMP, 1 - U_CLAMP] first, so quantile integrands never see a
-level beyond the clamp; the quadrature routes rely on that when they
-evaluate the laws' unchecked quantile_function() and quantile_array()
-(see distributions). A cell that reaches an unbounded end of a law is a
-tail instead: integrate_unit integrates it in t = -log u or t = -log(1 - u)
-over [t0, inf), with quad's infinite-interval rule (dqagie), so no clamp
-cuts it short; its integrand reads the laws' tail functions, which take t.
+quad calls an integrand only strictly inside its own cell, never at the
+cell's ends. The first or the last cell of levels may instead be a tail,
+which integrate_unit integrates in t = -log u or t = -log(1 - u) over
+[t0, inf), with quad's infinite-interval rule (dqagie), from the integrand
+of t that the caller gives, split where that integrand may jump. So the
+cells cover (0, 1) to its ends, and grids knows nothing of the laws whose
+quantiles the integrands read.
 """
 from __future__ import annotations
 
@@ -24,20 +23,13 @@ import math
 import sys
 from typing import Callable, Sequence
 
-# Parametric quantiles are clamped to [U_CLAMP, 1 - U_CLAMP], and so are the
-# cell edges of integrate_unit. With the tails taken in t, the clamp cuts
-# only a cell at a bounded end (a Uniform law's ends, an Exponential law's
-# 0), where the integrand is bounded and the 1e-12 of level it skips costs
-# at most 1e-12 of that bound, and w1_cdf's range of x.
-U_CLAMP = 1e-12
-
 DEFAULT_QUAD_TOL = 1e-8
 
 # the integrand of cell k, integrated over [edges[k], edges[k + 1]]
 Integrand = Callable[[int], Callable[[float], float]]
-# a cell at an unbounded end, (lo, hi, t0, g): its levels [lo, hi], and the
-# integrand g of t over [t0, inf) that its integral is taken as
-Tail = tuple[float, float, float, Callable[[float], float]]
+# a first or last cell taken in t, (ts, g): the integrand g of t over
+# [ts[0], inf) that the cell's integral is taken as, split at ts[1:]
+Tail = tuple[Sequence[float], Callable[[float], float]]
 # the integrand of every cell for arrays: batch(u, k)[i, j] is the integrand
 # of the cell with index k[i] at the level u[i, j]
 Batch = Callable[["numpy.ndarray", "numpy.ndarray"], "numpy.ndarray"]
@@ -111,7 +103,7 @@ def _rule():
 def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
     """The first step quad takes on every cell at once: dqk21's Kronrod sum
     and error estimate from one batch call at each cell's 21 nodes, and
-    dqagse's test whether to stop there, with the tolerances quad_cells
+    dqagse's test whether to stop there, with the tolerances integrate_unit
     gives each cell. Returns three arrays over the cells: whether the test
     accepts the cell, the sum and the error estimate. It accepts the cells
     on which quad stops after one subinterval with no message, to within
@@ -148,94 +140,75 @@ def _kronrod_step(batch: Batch, edges: Sequence[float], tol: float):
     return accept, result, abserr
 
 
-def quad_cells(
-    edges: Sequence[float],
-    integrand: Integrand,
-    tol: float,
-    batch: Batch | None = None,
-    tails: dict[int, Tail] | None = None,
-) -> tuple[float, float]:
-    """Integrate a piecewise integrand over [edges[0], edges[-1]], given by
-    its sorted cell edges and integrand(k), the integrand of the cell
-    between edges[k] and edges[k + 1], with one adaptive quad of that
-    integrand per cell. Returns (value, error_estimate).
-
-    Each cell gets the relative tolerance tol and its share of the absolute
-    tolerance tol in proportion to its width; the error estimate is the sum
-    of the cells' estimates. Given batch, the same integrand for arrays,
-    quad's first step runs on every cell at once (_kronrod_step): a cell
-    that step accepts keeps its value and error, and only the others go to
-    quad, so error_estimate means what it means without batch, and
-    integrand(k) is called only for a cell that quad takes. tails maps the
-    index of a cell at an unbounded end of the unit interval to its Tail:
-    quad integrates that cell in t over [t0, inf) (QUADPACK's dqagie), with
-    the absolute tolerance tol times its width in levels. If quad gives up
-    on a cell, QuadratureError, naming the first such cell by its edges (a
-    tail by its levels), is raised unless the summed estimate still meets
-    tol, absolute or relative, for the whole integral.
-    """
-    import scipy.integrate as integrate  # on first use: atomic routes never load scipy
-
-    quad = integrate.quad
-    tails = tails or {}
-    span = edges[-1] - edges[0]
-    values, errors, rest = [], [], range(len(edges) - 1)
-    if batch is not None:
-        accept, value, err = _kronrod_step(batch, edges, tol)
-        accept[list(tails)] = False  # a tail is integrated in t, below
-        values, errors = value[accept].tolist(), err[accept].tolist()
-        rest = (~accept).nonzero()[0].tolist()
-    failed = None
-    for k in rest:
-        if k in tails:
-            lo, hi, t0, f = tails[k]
-            value, err, message = _quad(quad, f, t0, math.inf, tol * (hi - lo), tol)
-        else:
-            f, lo, hi = integrand(k), edges[k], edges[k + 1]
-            value, err, message = _quad(quad, f, lo, hi, tol * (hi - lo) / span, tol)
-        if message is not None and failed is None:
-            failed = f"[{lo!r}, {hi!r}]: " + " ".join(message.split(".")[0].split())
-        values.append(value)
-        errors.append(err)
-    value, err = math.fsum(values), math.fsum(errors)
-    if failed is not None and not err <= tol * max(1.0, abs(value)):
-        raise QuadratureError(f"quadrature failed on the cell {failed}")
-    return value, err
-
-
 def integrate_unit(
     edges: Sequence[float],
     integrand: Integrand,
     tol: float,
     batch: Batch | None = None,
-    lower: tuple[float, Callable[[float], float]] | None = None,
-    upper: tuple[float, Callable[[float], float]] | None = None,
+    lower: Tail | None = None,
+    upper: Tail | None = None,
 ) -> tuple[float, float]:
-    """Integrate a piecewise integrand over (0, 1) to tol, returning (value,
-    error_estimate).
+    """Integrate a piecewise integrand over [edges[0], edges[-1]] to tol,
+    given by its sorted cell edges and integrand(k), the integrand of the
+    cell between edges[k] and edges[k + 1], with one adaptive quad per cell.
+    Returns (value, error_estimate).
 
-    edges are the sorted cell edges from 0 to 1, cut where the integrand
-    may jump or kink (an atom's cell of levels, a sign change of a
-    difference), and integrand(k) the integrand of the cell between
-    edges[k] and edges[k + 1]. The edges are clamped to [U_CLAMP,
-    1 - U_CLAMP], so a cell beyond the clamp keeps its index with width 0,
-    and each cell is integrated on its own (quad_cells). batch, if given,
-    is the integrand for arrays (Batch, by the same index): quad_cells
-    takes quad's first step on every cell with it at once.
+    The quantile routes pass levels from 0.0 to 1.0, cut where the
+    integrand may jump or kink (an atom's cell of levels, a sign change of a
+    difference); w1_cdf passes points x of its finite range. Each cell gets
+    the relative tolerance tol and its share of the absolute tolerance tol
+    in proportion to its width; the error estimate is the sum of the cells'
+    estimates. Given batch, the same integrand for arrays, quad's first step
+    runs on every cell at once (_kronrod_step): a cell that step accepts
+    keeps its value and error, and only the others go to quad, so
+    error_estimate means what it means without batch, and integrand(k) is
+    called only for a cell that quad takes.
 
-    lower, where a law is unbounded as u -> 0, is (t0, g): the first cell,
-    levels (0, edges[1]], is integrated in t = -log u instead, as the
-    integral of g(t) = integrand(0)(e^-t) e^-t over [t0, inf), with t0 =
-    -log edges[1]. upper, where a law is unbounded as u -> 1, likewise
-    takes the last cell, levels [edges[-2], 1), in t = -log(1 - u), with
-    t0 = -log(1 - edges[-2]). The caller computes t0 from the exact level
-    it knows, which a rounded edge may not carry.
+    lower, where a law is unbounded as u -> 0, is (ts, g): the first cell,
+    levels [0, edges[1]], is integrated in t = -log u instead, as the
+    integral of g(t) = integrand(0)(e^-t) e^-t over [t0, inf) (QUADPACK's
+    dqagie), with t0 = ts[0] = -log edges[1]. upper, where a law is
+    unbounded as u -> 1, likewise takes the last cell, levels
+    [edges[-2], 1], in t = -log(1 - u), with t0 = -log(1 - edges[-2]). The
+    caller computes t0 from the exact level it knows, which a rounded edge
+    may not carry. Where g may jump beyond t0, ts goes on with those points,
+    and quad takes each piece between them on its own, the last over
+    [ts[-1], inf). Each piece gets the cell's share of the absolute
+    tolerance.
+
+    If quad gives up on a cell, QuadratureError, naming the first such cell
+    by its edges, is raised unless the summed estimate still meets tol,
+    absolute or relative, for the whole integral.
     """
-    top = 1.0 - U_CLAMP
-    tails = {}
-    if lower is not None:
-        tails[0] = (0.0, edges[1], *lower)
-    if upper is not None:
-        tails[len(edges) - 2] = (edges[-2], 1.0, *upper)
-    clamped = [min(max(x, U_CLAMP), top) for x in edges]
-    return quad_cells(clamped, integrand, tol, batch, tails)
+    import scipy.integrate as integrate  # on first use: atomic routes never load scipy
+
+    quad = integrate.quad
+    span = edges[-1] - edges[0]
+    last = len(edges) - 2
+    values, errors, rest = [], [], range(last + 1)
+    if batch is not None:
+        accept, value, err = _kronrod_step(batch, edges, tol)
+        # a tail is integrated in t, below
+        accept[0] &= lower is None
+        accept[last] &= upper is None
+        values, errors = value[accept].tolist(), err[accept].tolist()
+        rest = (~accept).nonzero()[0].tolist()
+    failed = None
+    for k in rest:
+        lo, hi = edges[k], edges[k + 1]
+        tail = lower if k == 0 and lower else upper if k == last else None
+        if tail is None:
+            f, pieces = integrand(k), [(lo, hi)]
+        else:
+            ts, f = tail
+            pieces = zip(ts, [*ts[1:], math.inf])
+        for a, b in pieces:
+            value, err, message = _quad(quad, f, a, b, tol * (hi - lo) / span, tol)
+            if message is not None and failed is None:
+                failed = f"[{lo!r}, {hi!r}]: " + " ".join(message.split(".")[0].split())
+            values.append(value)
+            errors.append(err)
+    value, err = math.fsum(values), math.fsum(errors)
+    if failed is not None and not err <= tol * max(1.0, abs(value)):
+        raise QuadratureError(f"quadrature failed on the cell {failed}")
+    return value, err

@@ -7,30 +7,40 @@ into the sum of their coordinate distances, and for the q-norm variant the
 norm-equivalence constants give a two-sided sandwich.
 
 The quadrature integrands read each law through quantile_function() and
-cdf_function() (distributions), which skip the checks and the clamp of
-quantile and cdf. That is safe because quad only ever passes them levels
-inside [U_CLAMP, 1 - U_CLAMP] (integrate_unit clamps the edges there) and x
-inside w1_cdf's finite range [lo, hi], where both give bitwise the values
-of the checked methods. Against atoms the cells also come with their
-integrand for arrays, through quantile_array(): integrate_unit takes quad's
-first Gauss-Kronrod step on every atom cell in one numpy pass, and quad
-only the cells that step does not accept. Two parametric laws (one to
-three cells) and w1_cdf take one quad per cell. A cell that reaches an
-unbounded end of a law (a Normal law's two, an Exponential law's top) is
-a tail: quad integrates it in t = -log u or t = -log(1 - u) over
-[t0, inf), through the laws' tail functions, so (0, 1) is covered
-without a clamp there; the clamp cuts only a cell at a bounded end.
+cdf_function() (distributions), which skip the checks of quantile and cdf.
+That is safe because quad only ever passes them levels strictly inside
+(0, 1) (it never evaluates a cell's own ends) and x inside w1_cdf's finite
+range [lo, hi]. The quantile routes integrate over all of (0, 1), with no
+clamp: a cell that reaches an unbounded end of a law (a Normal law's two,
+an Exponential law's top) is a tail, which integrate_unit integrates in
+t = -log u or t = -log(1 - u) over [t0, inf), through the laws' tail
+functions; every other cell runs to its own ends, 0.0 and 1.0 included.
+Against atoms the cells also come with their integrand for arrays, through
+quantile_array(): integrate_unit takes quad's first Gauss-Kronrod step on
+every atom cell in one numpy pass, and quad only the cells that step does
+not accept. Two parametric laws (one or two cells) and w1_cdf take one
+quad per cell.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .copulas import EmpiricalCopula, comonotone_cells
-from .distributions import Distribution1D, Empirical, Exponential, Normal, Uniform, check_order
-from .grids import U_CLAMP, InputError, QuadratureError, integrate_unit, quad_cells, quad_tol
+from .distributions import (
+    U_CLAMP,
+    Distribution1D,
+    Empirical,
+    Exponential,
+    Normal,
+    Uniform,
+    check_order,
+)
+from .grids import InputError, QuadratureError, integrate_unit, quad_tol
 
 
 class Method(str, Enum):
@@ -116,7 +126,7 @@ def w1_cdf(F: Distribution1D, G: Distribution1D, tol: float | None = None) -> Di
     edges = [lo, *sorted({x for x in _cdf_kinks(F, G) if lo < x < hi}), hi]
     fc, gc = F.cdf_function(), G.cdf_function()  # quad keeps x in [lo, hi]
     f = lambda x: abs(fc(x) - gc(x))
-    value, err = quad_cells(edges, lambda k: f, tol)
+    value, err = integrate_unit(edges, lambda k: f, tol)
     return _report(1.0, value, Method.CDF_INTEGRAL, err)
 
 
@@ -281,9 +291,8 @@ def _comonotone_power(
     Two parametric laws split at _kinks. A cell that reaches an unbounded
     end of a law is a tail, integrated in t = -log u or t = -log(1 - u)
     through the laws' tail functions (_tail_gap), from the exact level it
-    starts at: G's top cell from G's exact top mass, or from F's own
-    upper-tail probability at y where that cell splits at F(y). A single
-    cell with both ends unbounded splits at 1/2."""
+    starts at; against atoms the top tail is _top_tail's. A first cell
+    that reaches both unbounded ends splits at 1/2."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
@@ -302,10 +311,10 @@ def _comonotone_power(
         lower = upper = None
         if below:
             gap = _tails_gap(F.lower_tail_function(), G.lower_tail_function(), p)
-            lower = (-math.log(edges[1]), gap)
+            lower = ([-math.log(edges[1])], gap)
         if above:
             gap = _tails_gap(F.upper_tail_function(), G.upper_tail_function(), p)
-            upper = (-math.log1p(-edges[-2]), gap)
+            upper = ([-math.log1p(-edges[-2])], gap)
         return integrate_unit(edges, lambda k: f, tol, lower=lower, upper=upper)
     edges, ys = [0.0], []  # cell k runs from edges[k] to edges[k + 1] against ys[k]
     fq, fc = F.quantile_function(), F.cdf_function()  # the atoms are finite
@@ -314,23 +323,50 @@ def _comonotone_power(
         for edge in (u, c) if prev < u < c else (c,):
             edges.append(edge)
             ys.append(y)
-    if F.unbounded_below and F.unbounded_above and len(ys) == 1:
-        edges, ys, top = [0.0, 0.5, 1.0], ys * 2, 0.5
-    elif F.unbounded_above:
-        # the top cell's survival 1 - edges[-2], never formed from a level
-        # (y, prev, u and c are the top atom's)
-        top = F.survival(y) if prev < u < c else G.nums[-1] / G.total
+    top = None
+    if F.unbounded_below and F.unbounded_above and edges[1] == 1.0:
+        edges.insert(1, 0.5)
+        ys.insert(0, ys[0])
+        top = 0.5
     lower = upper = None
     if F.unbounded_below:
-        lower = (-math.log(edges[1]), _tail_gap(F.lower_tail_function(), ys[0], p))
+        lower = ([-math.log(edges[1])], _tail_gap(F.lower_tail_function(), ys[0], p))
     if F.unbounded_above:
-        upper = (-math.log(top), _tail_gap(F.upper_tail_function(), ys[-1], p))
+        k, upper = _top_tail(F, G, edges, ys, p, top)
+        del edges[k + 2 :], ys[k + 1 :]
     import numpy as np  # on first use, as for quad
 
     ys = np.array(ys)
     batch = lambda u, k: abs(F.quantile_array(u) - ys[k, None]) ** p
     integrand = lambda k: _quantile_gap(fq, float(ys[k]), p)
     return integrate_unit(edges, integrand, tol, batch, lower, upper)
+
+
+def _top_tail(
+    F: Distribution1D, G: Empirical, edges: list, ys: list, p: float, top: float | None
+):
+    """The top tail of F, unbounded above, against the atoms of G: (k,
+    (ts, g)), with cell k the first whose level edges[k + 1] is 1.0.
+
+    The tail takes cells k to the last, one atom each, so no other cell
+    reaches F's unbounded end. Float levels cannot place the atoms after
+    cell k's, whose levels all round to 1.0, but their exact survivals can:
+    each atom starts at ts[i] = -log of its survival, the share of G's
+    integer weight at and above it, and g reads the atom of its piece. Cell
+    k starts at the survival top where it is given, else at F's own
+    survival at its atom where the cell is the upper part of one split at
+    F(y), else at its atom's own survival."""
+    k = edges.index(1.0) - 1
+    above = islice(accumulate(reversed(G.nums)), len(ys) - k)
+    ts = [-math.log(n / G.total) for n in above][::-1]
+    if top is None and k and ys[k - 1] == ys[k]:
+        top = F.survival(ys[k])
+    if top is not None:
+        ts[0] = -math.log(top)
+    tail, atoms = F.upper_tail_function(), ys[k:]
+    if len(atoms) == 1:
+        return k, (ts, _tail_gap(tail, atoms[0], p))
+    return k, (ts, _tails_gap(tail, lambda t: atoms[bisect_right(ts, t) - 1], p))
 
 
 def _quantile_gap(quantile, y: float, p: float):

@@ -20,7 +20,7 @@ from wassercop import (
     wp_quantile,
     wp_via_M,
 )
-from wassercop.grids import U_CLAMP
+from wassercop.distributions import U_CLAMP
 
 LAWS = [Normal(0.5, 1.5), Uniform(-1.0, 2.0), Exponential(1.3)]
 
@@ -174,8 +174,11 @@ atomic = st.lists(
     st.sampled_from([1.0, 2.0, 3.0]),
 )
 # the atom 0 cell (7/141, 1] falls to 0 at F(0) = 0.9999 and then steepens
-# towards the clamp: unsplit there, quad missed by 3.0e-6
+# towards level 1: unsplit there, quad missed by 3.0e-6
 @example(pair=(Normal(-1.861778875846241, 0.5), Empirical([(-1.0, 7), (0.0, 134)])), p=2.0)
+# an atom of relative weight 1e-13 at -1e6, whose whole cell lies below
+# level 1e-12: it carries 0.1 of W_2^2
+@example(pair=(Uniform(0.0, 1.0), Empirical([(-1e6, 1), (0.5, 10**13 - 1)])), p=2.0)
 def test_closed_form_agrees_with_quadrature(pair, p):
     # ten times quad's 1e-8 tolerance, as in the benchmark's check: its
     # estimate can run 3x short on a cell that steepens towards one end
@@ -195,6 +198,50 @@ TINY_TOP_ATOM = Empirical([(0.0, 10**10 - 1), (1e6, 1)])
 def test_top_tail_reaches_an_atom_of_tiny_weight(p, want):
     r = wp_via_M(Normal(0.0, 1.0), TINY_TOP_ATOM, p)
     assert abs(r.power_value - want) <= 1e-9 * want
+
+
+# Atoms whose levels round to 1.0 in floats, above a bulk atom of weight
+# 10^17: no cell but the top tail may end at level 1.0, where F^{-1} is
+# infinite, so the tail takes every such cell and reads each atom from its
+# exact survival in t. The values are mpmath's, at 40 digits, on the exact
+# levels.
+@pytest.mark.parametrize(
+    "F, G, p, want",
+    [
+        (Normal(0.0, 1.0), Empirical([(0.0, 10**17), (1e6, 1), (2e6, 1)]), 1.0,
+         0.79788456083286501474),
+        (Normal(0.0, 1.0), Empirical([(0.0, 10**17), (1e6, 1), (2e6, 1)]), 2.0,
+         1.0000499994866858221),
+        (Normal(0.0, 1.0), Empirical([(0.0, 10**17), (1e6, 1), (2e6, 1)]), 3.0,
+         91.594482648841821119),
+        (Exponential(1.0), Empirical([(0.0, 10**17), (1e6, 1), (2e6, 1)]), 3.0,
+         95.994020138659263984),
+        # the cell of atom 1 runs from level 1 - 2^-53 to 1.0 in floats
+        (Normal(0.0, 1.0), Empirical([(0.0, 10**17), (1.0, 11), (2.0, 1)]), 2.0,
+         0.99999999999999798133),
+    ],
+    ids=["normal-p1", "normal-p2", "normal-p3", "exponential-p3", "one-ulp-cell"],
+)
+def test_top_tail_takes_the_cells_that_end_at_level_one(F, G, p, want):
+    r = wp_via_M(F, G, p)
+    assert abs(r.power_value - want) <= 1e-10 * want
+
+
+# The same at the bottom of a law bounded there: an atom of weight 1e-13 far
+# below, whose cell (0, 1e-13] the quadrature integrates to its end 0.0.
+# The values are mpmath's, at 40 digits, on the exact levels.
+@pytest.mark.parametrize(
+    "F, G, p, want",
+    [
+        (Uniform(0.0, 1.0), Empirical([(-1e6, 1), (0.5, 10**13 - 1)]), 2.0, 0.18333333333330833),
+        (Uniform(0.0, 1.0), Empirical([(-1e6, 1), (0.5, 10**13 - 1)]), 1.0, 0.25000009999995),
+        (Exponential(1.0), Empirical([(-1e3, 1), (1.0, 10**13 - 1)]), 3.0, 2.4146532940572079),
+    ],
+    ids=["uniform-p2", "uniform-p1", "exponential-p3"],
+)
+def test_bottom_cell_reaches_an_atom_of_tiny_weight(F, G, p, want):
+    r = wp_via_M(F, G, p)
+    assert abs(r.power_value - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("y", [-10.0, 10.0, 40.0])
@@ -256,19 +303,40 @@ def route_outcomes(F, G, orders):
     return [(r.power_value.hex(), r.error_estimate.hex()) for r in reports]
 
 
+def checked(accessor, check):
+    """accessor with the check applied to every argument of the callable it
+    hands out."""
+    return lambda law: (lambda v, fn=accessor(law): fn(check(law, v)))
+
+
+def check_level(law, u):
+    """quantile's check and clamp, written out."""
+    assert type(u) is float and 0.0 <= u <= 1.0
+    if law.unbounded_below or law.unbounded_above:
+        u = min(max(u, U_CLAMP), 1.0 - U_CLAMP)
+    return u
+
+
+def check_point(law, x):
+    assert type(x) is float and math.isfinite(x)
+    return x
+
+
 def test_unchecked_integrands_give_the_same_bits(monkeypatch):
     new = [route_outcomes(F, G, orders) for F, G, orders in QUADRATURE_PAIRS]
-    # the checked methods themselves as the integrands' callables
+    # the integrands' callables behind quantile's and cdf's check and clamp
     for cls in (Uniform, Normal, Exponential):
-        monkeypatch.setattr(cls, "quantile_function", lambda law: law.quantile)
-        monkeypatch.setattr(cls, "cdf_function", lambda law: law.cdf)
+        monkeypatch.setattr(cls, "quantile_function", checked(cls.quantile_function, check_level))
+        monkeypatch.setattr(cls, "cdf_function", checked(cls.cdf_function, check_point))
     assert new == [route_outcomes(F, G, orders) for F, G, orders in QUADRATURE_PAIRS]
 
 
 def test_integrands_see_only_clamped_levels_and_finite_range(monkeypatch):
     # the precondition that lets the integrands skip quantile's and cdf's
-    # checks: integrate_unit clamps the edges to [U_CLAMP, 1 - U_CLAMP], and
-    # w1_cdf integrates over its finite range [lo, hi]; "a" holds the levels
+    # checks: quad evaluates a cell's integrand only strictly inside the
+    # cell, so every level lies inside (0, 1), and on these pairs' cells
+    # even inside the checked quantile's clamp [U_CLAMP, 1 - U_CLAMP]; and
+    # w1_cdf integrates over its finite range [lo, hi]. "a" holds the levels
     # of quad's batched first step against atoms. The tail cells at an
     # unbounded end read the tail functions, at t > 0 ("t"), and no level.
     seen = {"u": [], "x": [], "a": [], "t": []}

@@ -15,8 +15,7 @@ from wassercop import (
     Uniform,
     empirical_from_samples,
 )
-from wassercop.distributions import merge_atoms
-from wassercop.grids import U_CLAMP
+from wassercop.distributions import U_CLAMP, merge_atoms
 
 HALF = Fraction(1, 2)
 TWO_POINT = Empirical([(0, HALF), (1, HALF)])

@@ -93,6 +93,10 @@ def test_scipy_routes_keep_their_values():
     F, G = Normal(0.0, 1.0), Normal(1.0, 2.0)
     assert wp_quantile(F, G, 2.0).power_value == 2.0
     assert abs(wp_via_M(F, G, 2.0).power_value - 2.0) <= 4 * math.ulp(2.0)
+    # W_2^2(U(0, 1), U(0, 2)) = int_0^1 u^2 du = 1/3: no clamp cuts the
+    # cells of a bounded law short of levels 0 and 1
+    third = wp_via_M(Uniform(0.0, 1.0), Uniform(0.0, 2.0), 2.0).power_value
+    assert abs(third - 1.0 / 3.0) <= 4 * math.ulp(1.0 / 3.0)
     # the cdf-difference integral (quad)
     assert w1_cdf(Uniform(0.0, 1.0), Uniform(0.0, 2.0)).value == pytest.approx(0.5, rel=1e-12)
     # equal-count uniform masses take the assignment fast path

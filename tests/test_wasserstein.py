@@ -28,8 +28,8 @@ from wassercop import (
     wpq_bounds,
 )
 from wassercop import grids, wasserstein
-from wassercop.distributions import check_order
-from wassercop.grids import DEFAULT_QUAD_TOL, U_CLAMP, quad_cells, quad_tol
+from wassercop.distributions import U_CLAMP, check_order
+from wassercop.grids import DEFAULT_QUAD_TOL, integrate_unit, quad_tol
 from wassercop.io import load_copula
 
 HALF = Fraction(1, 2)
@@ -370,7 +370,8 @@ class TestCellIntegrands:
     """Against atoms, each interior cell is integrated against its own atom:
     the same edges and integrand values as looking both laws up at every
     node, in quad's batched first step and in quad, so the same floats come
-    out. The cells at the parametric law's unbounded ends are its tails."""
+    out. The cells run from level 0.0 to 1.0, and those at the parametric
+    law's unbounded ends are its tails."""
 
     ATOMS = {
         Normal(0.3, 1.2): [(-1.0, 1), (0.3, 1), (2.0, 2)],  # F(0.3) = 0.5, a level
@@ -380,8 +381,9 @@ class TestCellIntegrands:
 
     @staticmethod
     def with_tiny_atoms(atoms):
-        # two atoms of relative weight 2.5e-13, below U_CLAMP: one whose cell
-        # lies wholly under the clamp, one inside
+        # two atoms of relative weight 2.5e-13 at the bottom: their cells lie
+        # below the checked quantile's clamp U_CLAMP, and the quadrature
+        # reaches them all the same
         return Empirical([(-5.0, 1), (0.1, 1), *((x, w * 10**12) for x, w in atoms)])
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -390,18 +392,19 @@ class TestCellIntegrands:
         G = self.with_tiny_atoms(self.ATOMS[F])
         assert G.cumulative()[0] < U_CLAMP
         edges = [0.0, *sorted(atom_breaks(F, G)), 1.0]
-        clamped = [min(max(x, U_CLAMP), 1.0 - U_CLAMP) for x in edges]
-        f = lambda u: abs(F.quantile(u) - G.quantile(u)) ** p
+        # F's unchecked quantile: its checked one clamps the levels below U_CLAMP
+        fq = F.quantile_function()
+        f = lambda u: abs(fq(u) - G.quantile(u)) ** p
         # G's array lookup: the first atom whose level is >= u, as G.quantile
         locs, levels = np.array(G.locations), np.array(G.cumulative())
         batch = lambda u, k: abs(F.quantile_array(u) - locs[np.searchsorted(levels, u)]) ** p
         seen = []
 
-        def spy(edges, integrand, tol, batch=None, tails=None):
-            seen.append((edges, tails))
-            return quad_cells(edges, integrand, tol, batch, tails)
+        def spy(edges, integrand, tol, batch=None, lower=None, upper=None):
+            seen.append((edges, lower, upper))
+            return integrate_unit(edges, integrand, tol, batch, lower, upper)
 
-        monkeypatch.setattr(grids, "quad_cells", spy)
+        monkeypatch.setattr(wasserstein, "integrate_unit", spy)
         routes = [wp_via_M]
         if p == 1.5 and not isinstance(F, Uniform):  # no closed-form cell: the fallback
             routes.append(wp_quantile)
@@ -409,15 +412,19 @@ class TestCellIntegrands:
             for a, b in ((F, G), (G, F)):
                 seen.clear()
                 r = route(a, b, p)
-                [(cells, tails)] = seen
-                assert cells == clamped
-                # the tails are the end cells at F's unbounded ends
-                ends = {0: F.unbounded_below, len(edges) - 2: F.unbounded_above}
-                assert set(tails) == {k for k, unbounded in ends.items() if unbounded}
-                for k, (lo, hi, _, _) in tails.items():
-                    assert (lo, hi) == (edges[k], edges[k + 1])
+                [(cells, lower, upper)] = seen
+                assert cells == edges
+                # the tails are the end cells at F's unbounded ends, from
+                # their own edges in t
+                assert (lower is not None, upper is not None) == (
+                    F.unbounded_below, F.unbounded_above)
+                if lower is not None:
+                    assert lower[0] == [-math.log(edges[1])]
+                if upper is not None:
+                    [t0] = upper[0]
+                    assert abs(math.exp(-t0) - (1.0 - edges[-2])) <= 1e-16
                 # the interior cells looked up at every node, with the same tails
-                ref = quad_cells(clamped, lambda k: f, DEFAULT_QUAD_TOL, batch, tails)
+                ref = integrate_unit(edges, lambda k: f, DEFAULT_QUAD_TOL, batch, lower, upper)
                 assert (r.power_value, r.error_estimate) == ref
 
     @pytest.mark.parametrize("F", list(ATOMS), ids=lambda F: type(F).__name__)
@@ -426,8 +433,8 @@ class TestCellIntegrands:
         # edge, and F - G keeps one sign inside each cell
         G = self.with_tiny_atoms(self.ATOMS[F])
         seen = []
-        spy = lambda edges, integrand, tol: seen.append(edges) or quad_cells(edges, integrand, tol)
-        monkeypatch.setattr(wasserstein, "quad_cells", spy)
+        spy = lambda edges, integrand, tol: seen.append(edges) or integrate_unit(edges, integrand, tol)
+        monkeypatch.setattr(wasserstein, "integrate_unit", spy)
         w1_cdf(F, G)
         edges = seen[0]
         assert {x for x in G.locations if edges[0] < x < edges[-1]} <= set(edges)
@@ -470,27 +477,27 @@ def test_batched_first_step_is_quads_first_step(family, monkeypatch):
     # The cells at an unbounded end are tails, which quad integrates in t.
     seen = []
 
-    def spy(edges, integrand, tol, batch=None, tails=None):
-        seen.append((edges, integrand, tol, batch, tails))
-        return quad_cells(edges, integrand, tol, batch, tails)
+    def spy(edges, integrand, tol, batch=None, lower=None, upper=None):
+        seen.append((edges, integrand, tol, batch, lower, upper))
+        return integrate_unit(edges, integrand, tol, batch, lower, upper)
 
-    monkeypatch.setattr(grids, "quad_cells", spy)
+    monkeypatch.setattr(wasserstein, "integrate_unit", spy)
     for F, G in seeded_pairs(family, Empirical, 20):
         for p in (1.0, 1.5, 2.0, 3.0):
             wp_via_M(F, G, p)
     accepted = 0
-    for edges, integrand, tol, batch, tails in seen:
-        # the end edges are clamped at U_CLAMP
-        assert edges[0] == U_CLAMP and edges[-1] == 1.0 - U_CLAMP
-        span = edges[-1] - edges[0]
+    for edges, integrand, tol, batch, lower, upper in seen:
+        # the cells run from level 0.0 to 1.0, with no clamp
+        assert edges[0] == 0.0 and edges[-1] == 1.0
+        tails = {k for k, tail in ((0, lower), (len(edges) - 2, upper)) if tail}
         accept, values, errors = grids._kronrod_step(batch, edges, tol)
         for k, (lo, hi) in enumerate(zip(edges, edges[1:])):
             if k in tails:
                 continue
-            if lo == hi:  # a cell beyond the clamp: 0.0, as quad gives it
+            if lo == hi:  # a cell of width 0: 0.0, as quad gives it
                 assert accept[k] and values[k] == errors[k] == 0.0
                 continue
-            f, epsabs = integrand(k), tol * (hi - lo) / span
+            f, epsabs = integrand(k), tol * (hi - lo)
             _, _, info, *message = scipy.integrate.quad(
                 f, lo, hi, epsabs=epsabs, epsrel=tol, full_output=1
             )
@@ -536,9 +543,18 @@ def test_batched_first_step_follows_dqagse(integrand, refined):
             assert abs(values[k] - value) <= 1e-15 * value and abs(errors[k] - err) <= 1e-15 * value
 
 
+def test_tail_pieces_split_where_the_integrand_jumps():
+    # one cell, levels [0, 1], taken in t = -log(1 - u) from t0 = 0, whose
+    # integrand doubles at t = 5: quad takes [0, 5] and [5, inf) on their
+    # own, and their sum is 1 + e^-5
+    g = lambda t: (1.0 if t < 5.0 else 2.0) * math.exp(-t)
+    value, err = integrate_unit([0.0, 1.0], None, 1e-12, upper=([0.0, 5.0], g))
+    assert abs(value - (1.0 + math.exp(-5.0))) <= 1e-14 and err <= 1e-12
+
+
 def atom_cell_list(F, G):
-    """The clamped edges and the atom of each cell, as wp_via_M hands them
-    to quad_cells for a parametric F against atoms G."""
+    """The edges and the atom of each cell, as wp_via_M hands them to
+    integrate_unit for a parametric F against atoms G."""
     edges, ys = [0.0], []
     levels = G.cumulative()
     for y, prev, c in zip(G.locations, (0.0, *levels), levels):
@@ -546,7 +562,7 @@ def atom_cell_list(F, G):
         for edge in (u, c) if prev < u < c else (c,):
             edges.append(edge)
             ys.append(y)
-    return [min(max(x, U_CLAMP), 1.0 - U_CLAMP) for x in edges], ys
+    return edges, ys
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
