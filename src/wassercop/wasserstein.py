@@ -291,8 +291,9 @@ def _comonotone_power(
     Two parametric laws split at _kinks. A cell that reaches an unbounded
     end of a law is a tail, integrated in t = -log u or t = -log(1 - u)
     through the laws' tail functions (_tail_gap), from the exact level it
-    starts at; against atoms the top tail is _top_tail's. A first cell
-    that reaches both unbounded ends splits at 1/2."""
+    starts at; against atoms the tails are _bottom_tail's and _top_tail's.
+    A first cell that ends above level 0.0 and reaches both unbounded ends
+    splits at 1/2."""
     tol = quad_tol(tol)
     if isinstance(F, Empirical) and isinstance(G, Empirical):
         xf, xg = F.locations, G.locations
@@ -323,17 +324,19 @@ def _comonotone_power(
         for edge in (u, c) if prev < u < c else (c,):
             edges.append(edge)
             ys.append(y)
+    z = bisect_right(edges, 0.0)  # cell z - 1 is the first to end above level 0.0
     top = None
-    if F.unbounded_below and F.unbounded_above and edges[1] == 1.0:
-        edges.insert(1, 0.5)
-        ys.insert(0, ys[0])
+    if F.unbounded_below and F.unbounded_above and edges[z] == 1.0:
+        edges.insert(z, 0.5)
+        ys.insert(z, ys[z - 1])
         top = 0.5
     lower = upper = None
-    if F.unbounded_below:
-        lower = ([-math.log(edges[1])], _tail_gap(F.lower_tail_function(), ys[0], p))
     if F.unbounded_above:
         k, upper = _top_tail(F, G, edges, ys, p, top)
         del edges[k + 2 :], ys[k + 1 :]
+    if F.unbounded_below:
+        lower = _bottom_tail(F, G, edges, ys, p, z)
+        del edges[1:z], ys[: z - 1]
     import numpy as np  # on first use, as for quad
 
     ys = np.array(ys)
@@ -352,21 +355,39 @@ def _top_tail(
     reaches F's unbounded end. Float levels cannot place the atoms after
     cell k's, whose levels all round to 1.0, but their exact survivals can:
     each atom starts at ts[i] = -log of its survival, the share of G's
-    integer weight at and above it, and g reads the atom of its piece. Cell
+    integer weight at and above it, as log total - log n, so no ratio below
+    the float range reaches log, and g reads the atom of its piece. Cell
     k starts at the survival top where it is given, else at F's own
     survival at its atom where the cell is the upper part of one split at
     F(y), else at its atom's own survival."""
     k = edges.index(1.0) - 1
     above = islice(accumulate(reversed(G.nums)), len(ys) - k)
-    ts = [-math.log(n / G.total) for n in above][::-1]
+    log_total = math.log(G.total)
+    ts = [log_total - math.log(n) for n in above][::-1]
     if top is None and k and ys[k - 1] == ys[k]:
         top = F.survival(ys[k])
     if top is not None:
         ts[0] = -math.log(top)
-    tail, atoms = F.upper_tail_function(), ys[k:]
+    return k, _atoms_tail(F.upper_tail_function(), ts, ys[k:], p)
+
+
+def _bottom_tail(F: Distribution1D, G: Empirical, edges: list, ys: list, p: float, z: int):
+    """The bottom tail of F, unbounded below, against the atoms of G: (ts,
+    g) over cells 0 to z - 1, which start at level 0.0; the mirror of
+    _top_tail. The tail starts at cell z - 1's own level edges[z] > 0.0;
+    the atoms before it, one cell each, whose levels round to 0.0, end at
+    t = log total - log n of their exact cumulative weights n."""
+    below = islice(accumulate(G.nums), z - 1)
+    log_total = math.log(G.total)
+    ts = [-math.log(edges[z]), *[log_total - math.log(n) for n in below][::-1]]
+    return _atoms_tail(F.lower_tail_function(), ts, ys[z - 1 :: -1], p)
+
+
+def _atoms_tail(tail, ts: list, atoms: list, p: float):
+    """(ts, g): a tail cell's pieces in t, atoms[i] the atom from ts[i] on."""
     if len(atoms) == 1:
-        return k, (ts, _tail_gap(tail, atoms[0], p))
-    return k, (ts, _tails_gap(tail, lambda t: atoms[bisect_right(ts, t) - 1], p))
+        return ts, _tail_gap(tail, atoms[0], p)
+    return ts, _tails_gap(tail, lambda t: atoms[bisect_right(ts, t) - 1], p)
 
 
 def _quantile_gap(quantile, y: float, p: float):

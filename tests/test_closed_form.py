@@ -244,6 +244,26 @@ def test_bottom_cell_reaches_an_atom_of_tiny_weight(F, G, p, want):
     assert abs(r.power_value - want) <= 1e-12 * want
 
 
+# Against a bulk atom of weight 10^400 an atom of weight 1 has a float level
+# (or survival) of 0.0: the bottom tail takes every cell that starts at level
+# 0.0, and both tails read each atom's t from the integer weights, where a
+# float ratio would reach log as 0.0. W_p^p is E|Z|^p, 1.0 at p = 2.
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        [(-1.0, 1), (0.0, 10**400)],
+        [(-1.0, 1), (0.0, 10**400), (5.0, 1)],
+        [(0.0, 10**400), (5.0, 1)],
+    ],
+    ids=["below", "both", "above"],
+)
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_tails_read_atoms_whose_levels_underflow(atoms, p):
+    G = Empirical(atoms)
+    want = wp_quantile(Normal(0.0, 1.0), G, p).power_value
+    assert abs(wp_via_M(Normal(0.0, 1.0), G, p).power_value - want) <= 1e-9 * want
+
+
 @pytest.mark.parametrize("y", [-10.0, 10.0, 40.0])
 def test_one_cell_with_both_ends_unbounded_splits_in_half(y):
     # F(y) rounds to 0.0 or 1.0, so the point mass's one cell is not split

@@ -27,11 +27,13 @@ import wassercop
 from wassercop import cli
 rc = cli.main(["compute", sys.argv[1], sys.argv[2], "--p", "2"])
 print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "numpy")))
+print(sorted(m for m in sys.modules if m.startswith(("multiprocessing", "concurrent"))))
 sys.exit(rc)
 """
 
 
 def test_atomic_compute_loads_neither_scipy_nor_numpy(tmp_path):
+    # nor verify's process pool (multiprocessing, concurrent.futures)
     f = tmp_path / "F.json"
     g = tmp_path / "G.csv"
     f.write_text(json.dumps({"kind": "empirical", "atoms": [[0, "0.5"], [1, "0.5"]]}))
@@ -42,9 +44,10 @@ def test_atomic_compute_loads_neither_scipy_nor_numpy(tmp_path):
         text=True,
     )
     assert r.returncode == 0, r.stderr
-    report, loaded = r.stdout.splitlines()
+    report, loaded, pool = r.stdout.splitlines()
     assert json.loads(report)["power_value"] == pytest.approx(1.5, abs=1e-12)
     assert loaded == "[]"
+    assert pool == "[]"
 
 
 PARAMETRIC_COMPUTE = """
